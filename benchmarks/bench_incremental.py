@@ -29,7 +29,10 @@ the incremental cost of the individual interactions a user performs:
   process populates a shared ``--cache-dir``, this process's reopen
   beats its own cold open and absorbs the sibling process's memo
   deltas through the lease-coordinated singleton record
-  (``benchmarks/out/multiprocess.json``).
+  (``benchmarks/out/multiprocess.json``);
+* one interactive edit through a ``--cache-dir`` server must cost a
+  small fraction of a cold analysis of the same 60-routine program,
+  recorded as ``edit.speedup_vs_cold`` (``benchmarks/out/edit.json``).
 """
 
 import json
@@ -254,6 +257,93 @@ def test_warm_start_reopen(benchmark):
             + "\n",
         )
         benchmark.pedantic(warm_open, rounds=3, iterations=1, warmup_rounds=0)
+
+
+def test_server_edit_vs_cold_analysis(benchmark):
+    """One-line edits of a 60-routine program through a ``--cache-dir``
+    ``PedServer`` (split, parse, invalidation, journal, persist — the
+    whole host path) against a cold analysis of the same program.  The
+    edited session must match a cold analysis of its text.  Emits
+    ``benchmarks/out/edit.json``."""
+
+    from repro.incremental import AnalysisEngine
+    from repro.incremental.fingerprint import fingerprint_digest
+    from repro.service import PedServer
+    from repro.workloads.generator import generate_program
+
+    source = generate_program(n_routines=60)
+    stencils = [
+        n
+        for n, text in enumerate(source.splitlines(), start=1)
+        if text.lstrip().startswith("x(i) = x(i) + ")
+    ]
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        server = PedServer(cache_dir=cache_dir)
+        try:
+            opened = server.execute(
+                {"op": "open", "session": "s", "source": source}
+            )
+            assert opened["ok"], opened
+            times = []
+
+            def edit(k):
+                line = stencils[(7 * k) % len(stencils)]
+                req = {
+                    "op": "edit",
+                    "session": "s",
+                    "start": line,
+                    "end": line,
+                    # Coefficients only: the unit's summaries stay put.
+                    "text": (
+                        f"         x(i) = x(i) + 0.0{k % 9 + 1} * "
+                        f"(x(i+1) - x(i-1)) - 0.00{k % 7 + 1} * x(i)"
+                    ),
+                }
+                t0 = time.perf_counter()
+                reply = server.execute(req)
+                times.append(time.perf_counter() - t0)
+                assert reply["ok"], reply
+
+            for k in range(15):
+                edit(k)
+            edit_s = sorted(times)[len(times) // 2]
+            edited = server.execute({"op": "source", "session": "s"})
+            served = server.execute({"op": "fingerprint", "session": "s"})
+        finally:
+            server.close()
+
+    text = edited["result"]["source"]
+    cold = AnalysisEngine()
+
+    def cold_analyze():
+        cold.clear()
+        return cold.analyze(text)
+
+    cold_s = _best_of(cold_analyze, rounds=3)
+    assert served["result"]["fingerprint"] == fingerprint_digest(
+        cold.analyze(text)[1]
+    )
+    speedup = cold_s / edit_s
+    assert speedup > 2.0, (
+        f"a server edit ({edit_s:.4f}s) must cost well under a cold "
+        f"analysis ({cold_s:.4f}s)"
+    )
+    save_artifact(
+        "edit.json",
+        json.dumps(
+            {
+                "routines": 60,
+                "edits": len(times),
+                "server_edit_p50_s": edit_s,
+                "cold_analysis_s": cold_s,
+                "speedup_vs_cold": speedup,
+            },
+            indent=2,
+        )
+        + "\n",
+    )
+    benchmark.pedantic(cold_analyze, rounds=1, iterations=1, warmup_rounds=0)
 
 
 def test_parallel_vs_serial_analysis(benchmark):

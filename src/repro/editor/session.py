@@ -34,7 +34,6 @@ does not.
 from __future__ import annotations
 
 import logging
-import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -57,18 +56,14 @@ log = logging.getLogger(__name__)
 #: (loop variable, occurrence of that variable among the unit's loops).
 LoopAnchor = Tuple[str, int]
 
-#: A standalone ``END`` statement line (optionally labeled) — the cheap
-#: snapshot-fragment boundary :meth:`PedSession._intern_pieces` cuts at.
-_END_STMT = re.compile(r"(?:\d+\s+)?end", re.IGNORECASE)
-
 
 @dataclass
 class _Snapshot:
-    #: Interned source fragments (cut at ``END`` statement lines, so one
-    #: fragment per program unit in practice); joining them reproduces
-    #: the program text exactly.  Fragments are shared across snapshots,
-    #: so N history entries of a lightly edited program cost far less
-    #: than N full copies.
+    #: Interned source fragments (cut at the engine's unit-span
+    #: boundaries, so one fragment per program unit); joining them
+    #: reproduces the program text exactly.  Fragments are shared across
+    #: snapshots, so N history entries of a lightly edited program cost
+    #: far less than N full copies.
     pieces: Tuple[str, ...]
     assertions: Dict[str, List[str]]
     marks: Dict
@@ -343,31 +338,22 @@ class PedSession:
         return self._intern_pool.setdefault(text, text)
 
     def _intern_pieces(self, source: str) -> Tuple[str, ...]:
-        """Source as a tuple of interned fragments.
+        """Source as a tuple of interned fragments, one per unit span.
 
-        Fragments are cut at standalone ``END`` statements — a cheap
-        line scan, not a full tokenize, because this runs on *every*
-        mutation and only feeds snapshot interning: pieces always
-        concatenate back to ``source`` exactly, so a missed boundary
-        merely coarsens sharing, never corrupts a snapshot.  Unedited
-        units keep byte-identical fragment texts across snapshots and
-        collapse to one interned string each.
+        Fragments are cut at the engine's unit-span boundaries; the
+        source is almost always one the engine has just analyzed, so
+        its spans are reused rather than split again.  Pieces keep the
+        source's own line endings and always concatenate back to it
+        exactly; unedited units keep byte-identical fragment texts
+        across snapshots and collapse to one interned string each.
         """
 
-        pieces: List[str] = []
-        buf: List[str] = []
-        for line in source.splitlines(keepends=True):
-            buf.append(line)
-            if line[:1] in ("c", "C", "*", "!"):
-                continue  # fixed-form comment, never a boundary
-            if _END_STMT.fullmatch(line.strip()):
-                pieces.append(self._intern("".join(buf)))
-                buf = []
-        if buf:
-            pieces.append(self._intern("".join(buf)))
-        if not pieces:
-            return (self._intern(source),)
-        return tuple(pieces)
+        lines = source.splitlines(keepends=True)
+        pieces = tuple(
+            self._intern("".join(lines[span.start_line - 1 : span.end_line]))
+            for span in self.engine.unit_spans(source)
+        )
+        return pieces or (self._intern(source),)
 
     def _current_snapshot(self) -> _Snapshot:
         return _Snapshot(

@@ -50,8 +50,9 @@ The service layer plugs in at two seams:
   warm start (every cache restored from one content-addressed record),
   parse misses fall back to per-span disk records (validated against
   the current unit-kind map before acceptance), and every analysis
-  spills its results back.  Any invalid or corrupt record degrades to
-  recomputation.
+  spills its span and unit-summary records (the program record only
+  when it began cold, and on close).  Any invalid or corrupt record
+  degrades to recomputation.
 
 Known approximation: interprocedural constants iterate at most the same
 five Jacobi rounds as the from-scratch pass, so on call chains deeper
@@ -276,6 +277,10 @@ class AnalysisEngine:
         self._deps: Dict[str, _DepEntry] = {}
         self._last: Optional[_ProgramState] = None
         self._spilled_spans: Set[str] = set()
+        #: Spans of the last two sources split (see :meth:`unit_spans`).
+        self._recent_splits: Dict[str, List[UnitSpan]] = {}
+        #: Program key and span entries of the last analysis.
+        self._last_program: Optional[Tuple[str, List[_SpanEntry]]] = None
         #: Program-scoped pair-test memo: one per engine by default, or
         #: injected (the Ped server shares one across session engines).
         self._shared_memo = (
@@ -351,6 +356,7 @@ class AnalysisEngine:
             self._summary_revs[phase].clear()
         self._deps.clear()
         self._last = None
+        self._last_program = None
         self._node_keys = {}
 
     def invalidate(self) -> None:
@@ -361,23 +367,47 @@ class AnalysisEngine:
         self.clear()
 
     def close(self) -> None:
-        """Release the worker pool (if this engine owns processes)."""
+        """Write the program record (see :meth:`save_program_state`) and
+        release the worker pool (if this engine owns processes)."""
 
+        self.save_program_state()
         self._pool.close()
+
+    def unit_spans(self, source: str) -> List[UnitSpan]:
+        """The unit spans of ``source``, reused from this engine's last
+        two splits when possible: an edit's undo snapshot and
+        invalidation diff ask for sources it has just analyzed."""
+
+        spans = self._recent_splits.get(source)
+        if spans is None:
+            return self._split(source)
+        self.stats.bump("split.reused")
+        return spans
+
+    def _split(self, source: str) -> List[UnitSpan]:
+        self.stats.bump("split.calls")
+        with self.stats.timer("split"):
+            spans = split_units(source)
+        recent = self._recent_splits
+        recent.pop(source, None)
+        recent[source] = spans
+        if len(recent) > 2:
+            del recent[next(iter(recent))]
+        return spans
 
     def changed_units(self, old_source: str, new_source: str) -> Set[str]:
         """Names of units whose span content differs between two
         sources — the invalidation hook the session host broadcasts
         from after a mutating operation.
 
-        Purely a span-digest diff resolved through the parse cache, so
-        it costs one lexer pass per source and never parses anything;
-        digests the cache no longer holds (trimmed, never seen) are
-        simply not attributable and contribute no names.
+        Purely a span-digest diff resolved through the parse cache, over
+        spans :meth:`unit_spans` normally reuses; digests the cache no
+        longer holds (trimmed, never seen) are simply not attributable
+        and contribute no names.
         """
 
-        old = {s.digest for s in split_units(old_source)}
-        new = {s.digest for s in split_units(new_source)}
+        old = {s.digest for s in self.unit_spans(old_source)}
+        new = {s.digest for s in self.unit_spans(new_source)}
         changed: Set[str] = set()
         for digest in old.symmetric_difference(new):
             entry = self._spans.get(digest)
@@ -419,11 +449,12 @@ class AnalysisEngine:
                 if texts
             }
             prog_key = None
+            cold = self._last is None
             if self._store is not None:
                 prog_key = self._store.program_key(
                     self.features, source, asserts
                 )
-                if self._last is None:
+                if cold:
                     self._load_program_state(prog_key)
                 self._absorb_memo_deltas()
             run = _Run(source=source, asserts=asserts)
@@ -439,7 +470,10 @@ class AnalysisEngine:
             stats.counters["memo.shared_hits"] = memo.hits
             stats.counters["memo.shared_misses"] = memo.misses
             if self._store is not None:
-                self._spill_state(prog_key, run.entries, run.kinds)
+                self._spill_spans(run.entries, run.kinds)
+                self._last_program = (prog_key, run.entries)
+                if cold:
+                    self.save_program_state()
                 self._spill_unit_summaries(run.ukeys)
                 self._export_memo_deltas()
         return run.sf, run.pa
@@ -546,8 +580,7 @@ class AnalysisEngine:
     # ------------------------------------------------------------------
 
     def _node_split(self, run: _Run) -> None:
-        with self.stats.timer("split"):
-            run.spans = split_units(run.source)
+        run.spans = self._split(run.source)
         self._emit_progress("split", spans=len(run.spans))
 
     def _node_parse(self, run: _Run) -> None:
@@ -1142,18 +1175,11 @@ class AnalysisEngine:
         self.stats.bump("disk.warm_start")
         return True
 
-    def _spill_state(
-        self,
-        prog_key: str,
-        entries: List[_SpanEntry],
-        kinds: Dict[str, str],
+    def _spill_spans(
+        self, entries: List[_SpanEntry], kinds: Dict[str, str]
     ) -> None:
-        """Persist this analysis: per-span records plus one program record.
-
-        Span records warm up *partial* overlaps (an edited file reuses
-        every untouched span); the program record warms up an exact reopen
-        (source, features and assertions all unchanged).
-        """
+        """Persist span records; they warm up *partial* overlaps (an
+        edited file reuses every untouched span)."""
 
         for entry in entries:
             if entry.digest in self._spilled_spans:
@@ -1161,6 +1187,16 @@ class AnalysisEngine:
             guard = _span_guard(entry, kinds)
             if self._store.save_span(entry.digest, guard, entry.units):
                 self._spilled_spans.add(entry.digest)
+
+    def save_program_state(self) -> None:
+        """Persist the last analysis as one program record, which warms
+        up an exact reopen (source, features and assertions unchanged).
+        It pickles the whole cache state, so it is written only after an
+        analysis that began cold and on close, never per edit."""
+
+        if self._store is None or self._last_program is None:
+            return
+        prog_key, entries = self._last_program
         if not self._store.has_program(prog_key):
             self._store.save_program(
                 prog_key,

@@ -2,15 +2,22 @@
 
 The incremental engine caches parse and analysis results per procedure
 unit, keyed by a content hash of the unit's *source span*.  This module
-finds those spans with the lexer alone — no parsing — so splitting stays
-cheap enough to run on every keystroke-level edit.
+finds those spans without tokenizing or parsing: it walks the lexer's
+logical-line splicer (:func:`~repro.fortran.lexer._logical_lines` plus
+:func:`~repro.fortran.lexer._splice_free_continuations`), which already
+drops comments, strips inline ``!`` comments outside strings, peels
+statement labels and joins fixed-form and free-form continuations.
+A program unit ends at a bare ``END`` — a logical line whose text is
+``end`` in any case (``enddo``/``endif``/``end do``/``end if`` are other
+texts, and an ``end`` inside a string is never the whole text).  Since
+the splicer is the same one the lexer uses, the spans are exactly those
+of a token-level scan, at a fraction of its cost; the parity test in
+``tests/incremental/`` holds the two to that.
 
-A program unit ends at a bare ``END`` statement (a statement whose token
-list is exactly the name ``end``; ``enddo``/``endif`` are single tokens
-and ``end do``/``end if`` carry a second token, so neither is mistaken
-for a unit terminator).  Trailing comment/blank lines attach to the
-preceding unit; statements after the last ``END`` form a final span so a
-chunk reparse reports the same "missing END" error a full parse would.
+Trailing comment/blank lines attach to the preceding unit; statements
+after the last ``END`` form a final span so a chunk reparse reports the
+same "missing END" error a full parse would.  Nothing here raises: text
+the lexer would reject surfaces when its span is parsed.
 
 Spans record their absolute start line; reparsing a span prepends
 ``start_line - 1`` newlines so every token keeps its original line
@@ -25,8 +32,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List
 
-from ..fortran import lexer
-from ..fortran.lexer import tokenize
+from ..fortran.lexer import _logical_lines, _splice_free_continuations
 
 
 @dataclass(frozen=True)
@@ -61,20 +67,12 @@ def split_units(source: str) -> List[UnitSpan]:
         return []
     ends: List[int] = []
     last_stmt_line = 0
-    stmt: List[lexer.Token] = []
-    for tok in tokenize(source):
-        if tok.kind in (lexer.NEWLINE, lexer.EOF):
-            if stmt:
-                last_stmt_line = max(last_stmt_line, stmt[0].line)
-                if (
-                    len(stmt) == 1
-                    and stmt[0].kind == lexer.NAME
-                    and stmt[0].value == "end"
-                ):
-                    ends.append(stmt[0].line)
-            stmt = []
-        elif tok.kind != lexer.LABEL:
-            stmt.append(tok)
+    for ll in _splice_free_continuations(list(_logical_lines(source))):
+        text = ll.text.strip()
+        if text:
+            last_stmt_line = ll.line
+            if text.lower() == "end":
+                ends.append(ll.line)
 
     if not ends:
         return [_make_span(lines, 1, len(lines))]

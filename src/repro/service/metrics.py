@@ -36,6 +36,10 @@ shared memo and get one flat ``{key: number}`` dict:
   folded into multi-record frames, and writer flushes.  Transport
   counters are server-scoped, so a session-bound ``metrics`` request
   overlays them from the server stats rather than the engine's.
+* ``split.calls`` / ``split.reused`` — unit splits the engine ran
+  (one per analysis) and split results it served again from its last
+  two splits (an edit's undo snapshot and invalidation diff).  Both are
+  engine counters, so a session-bound snapshot reports them.
 * ``analyses`` — how many engine analysis cycles fed these numbers.
 
 Keys with a zero value are still present (a dashboard wants stable
@@ -80,6 +84,8 @@ STABLE_KEYS = (
     "journal.bytes",
     "journal.replays",
     "journal.restores",
+    "split.calls",
+    "split.reused",
 )
 
 

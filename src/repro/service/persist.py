@@ -1,6 +1,6 @@
 """Warm-start persistence for the incremental analysis engine.
 
-Two record families, both content-addressed into a :class:`DiskCache`:
+Four record families, all content-addressed into a :class:`DiskCache`:
 
 * **Span records** (``span:<digest>``) — the bound units of one source
   span, stored with a *binding guard*: the set of names the span's
@@ -32,7 +32,12 @@ Two record families, both content-addressed into a :class:`DiskCache`:
   in one stream, so the aliasing invariant (a cached ``UnitAnalysis``
   references the same AST objects as the cached spans) survives the
   round trip.  Loading one on a cold engine makes the next ``analyze``
-  a pure cache walk — the warm start the benchmarks measure.
+  a pure cache walk — the warm start the benchmarks measure.  Only a
+  cold engine ever loads one, so the engine writes one only after an
+  analysis that began cold and when its session closes, never per
+  edit: the record is megabytes for a mid-sized program, and one per
+  edited text would both dominate the edit's latency and crowd span
+  and summary records out of the LRU-bounded store.
 
 The digests mirror the engine's own content keys, so a record can never
 be served for content it was not computed from; anything else (format

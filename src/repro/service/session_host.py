@@ -245,12 +245,25 @@ class PedServer:
             raise _UnknownSession(f"no session named {name!r}")
         return managed
 
-    def _locked(self, managed: _Managed, rid):
-        """Acquire the session lock, polling the cancel flag meanwhile."""
+    @contextmanager
+    def _locked(self, managed: _Managed, rid, req: Optional[Dict] = None):
+        """Hold the session lock (polling the cancel flag while waiting
+        and once more on acquiring it) and yield the session, first
+        moving its selection to ``req``'s ``unit``/``loop`` when a
+        request is given."""
 
         while not managed.lock.acquire(timeout=0.05):
             self._check_cancel(rid)
-        return managed
+        try:
+            self._check_cancel(rid)
+            if req is not None:
+                if req.get("unit"):
+                    managed.session.select_unit(req["unit"])
+                if req.get("loop") is not None:
+                    managed.session.select_loop(int(req["loop"]))
+            yield managed.session
+        finally:
+            managed.lock.release()
 
     def _session_engine(self):
         """A per-session engine sharing the server's pool and store.
@@ -309,12 +322,19 @@ class PedServer:
 
         Emitted only when the changed units are also held by *other*
         sessions — the "an edit in one session dirties records another
-        session holds" condition.  Must be called while still holding
-        the editing session's lock (the source must be stable).
+        session holds" condition, so with no other session there is
+        nothing to diff.  Must be called while still holding the editing
+        session's lock (the source must be stable).
         """
 
         new_source = managed.session.source
         if new_source == old_source:
+            return None
+        with self._sessions_lock:
+            others = [
+                (n, m) for n, m in self.sessions.items() if n != name
+            ]
+        if not others:
             return None
         changed = managed.session.engine.changed_units(
             old_source, new_source
@@ -322,10 +342,6 @@ class PedServer:
         if not changed:
             return None
         holders: List[str] = []
-        with self._sessions_lock:
-            others = [
-                (n, m) for n, m in self.sessions.items() if n != name
-            ]
         for other_name, other in others:
             held = {u.name for u in other.session.sf.units}
             if held & changed:
@@ -477,8 +493,12 @@ class PedServer:
         if managed is None:
             raise _UnknownSession(f"no session named {name!r}")
         # The engine shares the server's pool/store: nothing to release —
-        # but the durable journal handle closes (the file itself stays,
-        # so ``session.restore`` can resurrect the session later).
+        # but its program record is written, so reopening the closed
+        # text starts warm, and the durable journal handle closes (the
+        # file itself stays, so ``session.restore`` can resurrect the
+        # session later).
+        with managed.lock:
+            managed.session.engine.save_program_state()
         if managed.journal_file is not None:
             managed.journal_file.close()
         return {"closed": name}
@@ -508,26 +528,16 @@ class PedServer:
 
         managed = self._managed(req)
         rid = req.get("id")
-        name = req["session"]
-        invalidation = None
-        self._locked(managed, rid)
         try:
-            self._check_cancel(rid)
-            if select:
-                if req.get("unit"):
-                    managed.session.select_unit(req["unit"])
-                if req.get("loop") is not None:
-                    managed.session.select_loop(int(req["loop"]))
-            old_source = managed.session.source
-            with self._progress_stream(managed.session.engine):
-                message = mutate(managed.session)
-            invalidation = self._invalidation_for(
-                name, managed, old_source, op
-            )
+            with self._locked(managed, rid, req if select else None) as s:
+                old_source = s.source
+                with self._progress_stream(s.engine):
+                    message = mutate(s)
+                invalidation = self._invalidation_for(
+                    req["session"], managed, old_source, op
+                )
         except KeyError as exc:
             raise _BadRequest(f"{op} needs {exc.args[0]!r}")
-        finally:
-            managed.lock.release()
         if invalidation:
             self._notify(protocol.EV_INVALIDATION, invalidation)
         return {"message": message}
@@ -566,27 +576,14 @@ class PedServer:
         )
 
     def _op_select(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            if req.get("unit"):
-                managed.session.select_unit(req["unit"])
-            if req.get("loop") is not None:
-                managed.session.select_loop(int(req["loop"]))
-        finally:
-            managed.lock.release()
-        return {
-            "unit": managed.session.current_unit,
-            "loop": managed.session.loop_index,
-        }
+        with self._locked(self._managed(req), req.get("id"), req) as s:
+            return {"unit": s.current_unit, "loop": s.loop_index}
 
     def _op_loops(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
+        with self._locked(self._managed(req), req.get("id")) as s:
             if req.get("unit"):
-                managed.session.select_unit(req["unit"])
-            ua = managed.session.unit_analysis
+                s.select_unit(req["unit"])
+            ua = s.unit_analysis
             loops = []
             for idx, nest in enumerate(ua.loops):
                 info = ua.info_for(nest.loop)
@@ -600,18 +597,10 @@ class PedServer:
                         "obstacles": list(info.obstacles),
                     }
                 )
-        finally:
-            managed.lock.release()
-        return {"unit": managed.session.current_unit, "loops": loops}
+            return {"unit": s.current_unit, "loops": loops}
 
     def _op_deps(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            if req.get("unit"):
-                managed.session.select_unit(req["unit"])
-            if req.get("loop") is not None:
-                managed.session.select_loop(int(req["loop"]))
+        with self._locked(self._managed(req), req.get("id"), req) as s:
             deps = [
                 {
                     "id": d.id,
@@ -623,21 +612,13 @@ class PedServer:
                     "src_line": d.src_line,
                     "dst_line": d.dst_line,
                 }
-                for d in managed.session.dependences(
-                    unfiltered=bool(req.get("unfiltered"))
-                )
+                for d in s.dependences(unfiltered=bool(req.get("unfiltered")))
             ]
-        finally:
-            managed.lock.release()
-        return {"unit": managed.session.current_unit, "deps": deps}
+            return {"unit": s.current_unit, "deps": deps}
 
     def _op_source(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            return {"source": managed.session.source}
-        finally:
-            managed.lock.release()
+        with self._locked(self._managed(req), req.get("id")) as s:
+            return {"source": s.source}
 
     def _op_fingerprint(self, req: Dict) -> Dict:
         """Digest of the session's current analysis fingerprint — the
@@ -646,29 +627,17 @@ class PedServer:
 
         from ..incremental.fingerprint import fingerprint_digest
 
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            digest = fingerprint_digest(managed.session.analysis)
-        finally:
-            managed.lock.release()
-        return {"fingerprint": digest}
+        with self._locked(self._managed(req), req.get("id")) as s:
+            return {"fingerprint": fingerprint_digest(s.analysis)}
 
     def _op_diagnose(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
         try:
-            if req.get("unit"):
-                managed.session.select_unit(req["unit"])
-            if req.get("loop") is not None:
-                managed.session.select_loop(int(req["loop"]))
-            advice = managed.session.diagnose(
-                req["transform"], **(req.get("args") or {})
-            )
+            with self._locked(self._managed(req), req.get("id"), req) as s:
+                advice = s.diagnose(
+                    req["transform"], **(req.get("args") or {})
+                )
         except KeyError as exc:
             raise _BadRequest(f"diagnose needs {exc.args[0]!r}")
-        finally:
-            managed.lock.release()
         return {
             "applicable": advice.applicable,
             "safe": advice.safe,
@@ -709,15 +678,11 @@ class PedServer:
         with self._sessions_lock:
             managed = self.sessions.get(name)
         if managed is not None:
-            self._locked(managed, req.get("id"))
-            try:
-                live = managed.session.journal
+            with self._locked(managed, req.get("id")) as s:
                 journal = SessionJournal(
-                    base_source=live.base_source,
-                    records=list(live.records),
+                    base_source=s.journal.base_source,
+                    records=list(s.journal.records),
                 )
-            finally:
-                managed.lock.release()
             return journal, "live"
         if self.store is not None:
             payload = self.store.journal(name).load()
@@ -850,12 +815,8 @@ class PedServer:
         }
 
     def _op_parallel_summary(self, req: Dict) -> Dict:
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            rows = managed.session.parallel_summary()
-        finally:
-            managed.lock.release()
+        with self._locked(self._managed(req), req.get("id")) as s:
+            rows = s.parallel_summary()
         return {
             "units": [
                 {"unit": name, "parallel": par, "loops": total}
@@ -964,12 +925,8 @@ class PedServer:
         """Node outcomes of the session's last analysis: entry node plus
         one ``{node, key, state}`` row per scheduled node."""
 
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            return managed.session.engine.node_report()
-        finally:
-            managed.lock.release()
+        with self._locked(self._managed(req), req.get("id")) as s:
+            return s.engine.node_report()
 
     def _op_graph_plan(self, req: Dict) -> Dict:
         """What would re-run if the named inputs changed (pure topology)."""
@@ -981,17 +938,13 @@ class PedServer:
             raise _BadRequest(
                 "graph.plan needs 'changed': a list of input/node names"
             )
-        managed = self._managed(req)
-        self._locked(managed, req.get("id"))
-        try:
-            from ..pipeline.graph import GraphError
+        from ..pipeline.graph import GraphError
 
+        with self._locked(self._managed(req), req.get("id")) as s:
             try:
-                return managed.session.engine.plan(changed)
+                return s.engine.plan(changed)
             except GraphError as exc:
                 raise _BadRequest(str(exc))
-        finally:
-            managed.lock.release()
 
     # ------------------------------------------------------------------
     # corpus batch ops

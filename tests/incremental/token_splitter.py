@@ -1,0 +1,53 @@
+"""Token-level unit splitter: the parity oracle for
+:func:`repro.incremental.splitter.split_units`.
+
+This is the original splitter, which runs the full lexer over the whole
+program and cuts after every statement whose token list is exactly the
+name ``end``.  The production splitter reads the lexer's logical lines
+instead; the parity tests hold the two to identical spans.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+from repro.fortran import lexer
+from repro.fortran.lexer import tokenize
+from repro.incremental.splitter import UnitSpan, _make_span
+
+
+def split_units_by_tokens(source: str) -> List[UnitSpan]:
+    lines = source.splitlines()
+    if not lines:
+        return []
+    ends: List[int] = []
+    last_stmt_line = 0
+    stmt: List[lexer.Token] = []
+    for tok in tokenize(source):
+        if tok.kind in (lexer.NEWLINE, lexer.EOF):
+            if stmt:
+                last_stmt_line = max(last_stmt_line, stmt[0].line)
+                if (
+                    len(stmt) == 1
+                    and stmt[0].kind == lexer.NAME
+                    and stmt[0].value == "end"
+                ):
+                    ends.append(stmt[0].line)
+            stmt = []
+        elif tok.kind != lexer.LABEL:
+            stmt.append(tok)
+
+    if not ends:
+        return [_make_span(lines, 1, len(lines))]
+
+    spans: List[UnitSpan] = []
+    start = 1
+    for i, end_line in enumerate(ends):
+        stop = end_line
+        if i == len(ends) - 1 and last_stmt_line <= end_line:
+            stop = len(lines)  # trailing comments belong to the last unit
+        spans.append(_make_span(lines, start, stop))
+        start = stop + 1
+    if last_stmt_line > ends[-1]:
+        spans.append(_make_span(lines, start, len(lines)))
+    return spans
