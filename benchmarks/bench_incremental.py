@@ -264,7 +264,14 @@ def test_server_edit_vs_cold_analysis(benchmark):
     ``PedServer`` (split, parse, invalidation, journal, persist — the
     whole host path) against a cold analysis of the same program.  The
     edited session must match a cold analysis of its text.  Emits
-    ``benchmarks/out/edit.json``."""
+    ``benchmarks/out/edit.json``.
+
+    Each edit is paired with a cold analysis of the text it produced,
+    timed right after it, and the speedup is the median of the per-pair
+    ratios: the host's CPU speed drifts within seconds, and timing the
+    two sides apart spread the ratio over 14.7-24.4 in eight runs on a
+    2-core box, against 18.4-21.3 in ten paired runs.
+    """
 
     from repro.incremental import AnalysisEngine
     from repro.incremental.fingerprint import fingerprint_digest
@@ -277,6 +284,7 @@ def test_server_edit_vs_cold_analysis(benchmark):
         for n, text in enumerate(source.splitlines(), start=1)
         if text.lstrip().startswith("x(i) = x(i) + ")
     ]
+    cold = AnalysisEngine()
 
     with tempfile.TemporaryDirectory() as cache_dir:
         server = PedServer(cache_dir=cache_dir)
@@ -286,6 +294,7 @@ def test_server_edit_vs_cold_analysis(benchmark):
             )
             assert opened["ok"], opened
             times = []
+            cold_times = []
 
             def edit(k):
                 line = stencils[(7 * k) % len(stencils)]
@@ -304,28 +313,33 @@ def test_server_edit_vs_cold_analysis(benchmark):
                 reply = server.execute(req)
                 times.append(time.perf_counter() - t0)
                 assert reply["ok"], reply
+                text = server.execute({"op": "source", "session": "s"})
+                cold.clear()
+                t0 = time.perf_counter()
+                cold.analyze(text["result"]["source"])
+                cold_times.append(time.perf_counter() - t0)
 
             for k in range(15):
                 edit(k)
             edit_s = sorted(times)[len(times) // 2]
+            cold_s = sorted(cold_times)[len(cold_times) // 2]
+            ratios = sorted(c / e for c, e in zip(cold_times, times))
+            speedup = ratios[len(ratios) // 2]
             edited = server.execute({"op": "source", "session": "s"})
             served = server.execute({"op": "fingerprint", "session": "s"})
         finally:
             server.close()
 
     text = edited["result"]["source"]
-    cold = AnalysisEngine()
 
     def cold_analyze():
         cold.clear()
         return cold.analyze(text)
 
-    cold_s = _best_of(cold_analyze, rounds=3)
     assert served["result"]["fingerprint"] == fingerprint_digest(
-        cold.analyze(text)[1]
+        cold_analyze()[1]
     )
-    speedup = cold_s / edit_s
-    assert speedup > 2.0, (
+    assert speedup > 4.0, (
         f"a server edit ({edit_s:.4f}s) must cost well under a cold "
         f"analysis ({cold_s:.4f}s)"
     )

@@ -11,16 +11,20 @@ pipeline as keyed, cached stages:
   resulting unit is cached under the span's content digest.  An edit
   confined to one procedure reparses only that procedure.
 * **Summary caches** — MOD/REF, kill and section summaries are cached
-  per unit and invalidated transitively *up* the call graph (a change
-  propagates to callers); interprocedural constants are invalidated
-  *down* it (a change propagates to callees).  Dirty regions re-run the
-  original SCC fixpoints seeded from empty summaries, with clean units
-  contributing their cached values, so the result matches a from-scratch
-  computation.  A recomputation that reproduces the old value does not
-  bump the unit's summary revision, stopping invalidation cascades.
+  per unit and recomputed callees-first: a unit reruns only when it
+  changed, has no cached value, or a callee's summary (or formal
+  interface) *moved* in this walk — so a caller is recomputed only when
+  a callee's summary moved, and an edit that reproduces a unit's old
+  summaries stops there (early cutoff).  A recursive SCC with any stale
+  member re-runs the original fixpoint seeded from empty summaries.
+  Interprocedural constants are invalidated *down* the call graph (a
+  change propagates to callees), reusing each caller's folded constant
+  map while its AST and inherited environment are unchanged.  A
+  recomputation that reproduces the old value does not bump the unit's
+  summary revision.
 * **Dependence cache** — each unit's :class:`UnitAnalysis` is keyed by
   its parse revision, its assertion texts, its inherited constants and
-  the summary revisions of its direct callees.  Cache hits restore the
+  the summary revisions and formal interfaces of its direct callees.  Cache hits restore the
   pristine edge markings and loop verdicts recorded at analysis time
   (sessions mutate both in place), so a hit is indistinguishable from a
   fresh analysis.
@@ -155,6 +159,9 @@ class _ProgramState:
     revs: Dict[str, int]
     callee_sets: Dict[str, tuple]
     caller_sets: Dict[str, tuple]
+    #: ``{unit: _interface(unit)}``; ``None`` in records written before
+    #: interfaces were tracked (every changed unit then counts as moved).
+    ifaces: Optional[Dict[str, tuple]] = None
 
 
 @dataclass
@@ -170,19 +177,22 @@ class _Run:
     sf: Optional[SourceFile] = None
     kinds: Dict[str, str] = field(default_factory=dict)
     cg: Optional[CallGraph] = None
+    schedule: List[Tuple[List[str], bool]] = field(default_factory=list)
     owners: Dict[str, Tuple[_SpanEntry, int]] = field(default_factory=dict)
     revs: Dict[str, int] = field(default_factory=dict)
+    ifaces: Dict[str, tuple] = field(default_factory=dict)
     changed: Set[str] = field(default_factory=set)
+    #: Changed units whose formal interface differs from the last walk:
+    #: their callers recompute even if their summaries come back equal.
+    iface_moved: Set[str] = field(default_factory=set)
+    #: Units the transitive-caller rule would recompute (the changed
+    #: units plus their callers) — the baseline ``summary.cutoff``
+    #: counts against.
+    reach: Set[str] = field(default_factory=set)
     ukeys: Dict[str, Optional[str]] = field(default_factory=dict)
+    #: Disk-restored ``{unit: {phase: value}}``, loaded on first demand.
     warm: Dict[str, Dict[str, object]] = field(default_factory=dict)
     pa: Optional[ProgramAnalysis] = None
-
-    def warm_for(self, phase: str) -> Dict[str, object]:
-        return {
-            n: vals[phase]
-            for n, vals in self.warm.items()
-            if phase in vals
-        }
 
 
 def _closure(seed: Set[str], edges: Dict[str, Set[str]]) -> Set[str]:
@@ -233,6 +243,19 @@ def _scc_schedule(cg: CallGraph) -> List[Tuple[List[str], bool]]:
     return schedule
 
 
+def _interface(unit: ProcedureUnit) -> tuple:
+    """What a caller reads from a callee's AST besides its summaries:
+    the formal list and which formals are arrays (the sections scalar
+    binding).  A change here moves the callee for its callers even when
+    its summaries compare equal (say, two formals swapped)."""
+
+    table = unit.symtab
+    return tuple(
+        (f, bool(getattr(table.get(f), "is_array", False)))  # type: ignore[union-attr]
+        for f in unit.formals
+    )
+
+
 def _summary_payload(
     phase: str, name: str, cg: CallGraph, work: Dict[str, object]
 ) -> Dict[str, object]:
@@ -275,6 +298,9 @@ class AnalysisEngine:
         self._summaries: Dict[str, Dict[str, object]] = {p: {} for p in _PHASES}
         self._summary_revs: Dict[str, Dict[str, int]] = {p: {} for p in _PHASES}
         self._deps: Dict[str, _DepEntry] = {}
+        #: One folded constant map per caller, keyed by its AST and
+        #: inherited environment (see :meth:`_const_map`); never spilled.
+        self._const_maps: Dict[str, Tuple[ProcedureUnit, tuple, object]] = {}
         self._last: Optional[_ProgramState] = None
         self._spilled_spans: Set[str] = set()
         #: Spans of the last two sources split (see :meth:`unit_spans`).
@@ -355,6 +381,7 @@ class AnalysisEngine:
             self._summaries[phase].clear()
             self._summary_revs[phase].clear()
         self._deps.clear()
+        self._const_maps.clear()
         self._last = None
         self._last_program = None
         self._node_keys = {}
@@ -465,6 +492,7 @@ class AnalysisEngine:
                 run.revs,
                 {n: tuple(sorted(cg.callees[n])) for n in cg.units},
                 {n: tuple(sorted(cg.callers[n])) for n in cg.units},
+                run.ifaces,
             )
             memo = self._shared_memo
             stats.counters["memo.shared_hits"] = memo.hits
@@ -608,6 +636,7 @@ class AnalysisEngine:
                         _collect_candidates(u) for u in entry.units
                     ]
             run.cg = self._assemble_callgraph(run.entries)
+            run.schedule = _scc_schedule(run.cg)
         self._emit_progress(
             "callgraph", units=len(run.cg.units), sites=len(run.cg.sites)
         )
@@ -621,53 +650,51 @@ class AnalysisEngine:
         run.revs = {
             u.name: e.rev for e in run.entries for u in e.units
         }
+        run.ifaces = {n: _interface(u) for n, u in run.cg.units.items()}
         run.changed = self._detect_changes(run.cg, run.revs)
+        prev = self._last.ifaces if self._last is not None else None
+        run.iface_moved = {
+            n
+            for n in run.changed
+            if prev is None or prev.get(n) != run.ifaces[n]
+        }
+        run.reach = _closure(run.changed, run.cg.callers)
         # Content keys for per-unit summary records: a cold open of a
         # never-seen program warm-starts any unit whose key (span digest
         # + callee subtree) matches a prior session's.
         if self._store is not None:
-            run.ukeys = self._unit_summary_keys(run.cg, run.owners)
-            if run.changed:
-                run.warm = self._load_unit_summaries(
-                    run.ukeys, _closure(run.changed, run.cg.callers)
-                )
+            run.ukeys = self._unit_summary_keys(run.schedule, run.cg, run.owners)
 
     def _node_modref(self, run: _Run) -> None:
         with self.stats.timer("modref"):
             self._update_bottom_up(
                 "modref",
-                run.cg,
-                run.changed,
+                run,
                 local_summary,
                 lambda a, b: a.mod == b.mod and a.ref == b.ref,
                 ModRefInfo,
-                warm=run.warm_for("modref"),
             )
 
     def _node_kill(self, run: _Run) -> None:
         with self.stats.timer("kill"):
             self._update_bottom_up(
                 "kill",
-                run.cg,
-                run.changed,
+                run,
                 unit_kills,
                 lambda a, b: a.scalars == b.scalars
                 and a.arrays == b.arrays,
                 KillInfo,
-                warm=run.warm_for("kill"),
             )
 
     def _node_sections(self, run: _Run) -> None:
         with self.stats.timer("sections"):
             self._update_bottom_up(
                 "sections",
-                run.cg,
-                run.changed,
+                run,
                 unit_sections,
                 lambda a, b: not sections_differ(a, b),
                 SectionInfo,
                 max_passes=10,
-                warm=run.warm_for("sections"),
             )
 
     def _node_ipconst(self, run: _Run) -> None:
@@ -675,9 +702,7 @@ class AnalysisEngine:
             self._update_ip_constants(run.cg, run.changed)
 
     def _node_dependence(self, run: _Run) -> None:
-        pa, adopted = self._run_dependence(
-            run.sf, run.cg, run.asserts, run.revs, run.owners
-        )
+        pa, adopted = self._run_dependence(run)
         if adopted:
             # Units analyzed in worker processes came back as fresh
             # object graphs and were swapped into their span entries;
@@ -846,8 +871,9 @@ class AnalysisEngine:
             for stale in [n for n in self._summaries[phase] if n not in current]:
                 del self._summaries[phase][stale]
                 self._summary_revs[phase].pop(stale, None)
-        for stale in [n for n in self._deps if n not in current]:
-            del self._deps[stale]
+        for cache in (self._deps, self._const_maps):
+            for stale in [n for n in cache if n not in current]:
+                del cache[stale]
         if prev is None:
             return current
         return {
@@ -865,75 +891,106 @@ class AnalysisEngine:
     def _update_bottom_up(
         self,
         phase: str,
-        cg: CallGraph,
-        changed: Set[str],
+        run: _Run,
         step,
         equal,
         default,
         max_passes: Optional[int] = None,
-        warm: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Re-run one bottom-up summary fixpoint over the dirty region.
+        """Bring one bottom-up summary phase up to date, callees-first.
 
-        Dirty = changed units plus their transitive callers, so every SCC
-        is either entirely dirty or entirely clean; dirty units are
-        re-seeded with empty summaries (matching the from-scratch seeds)
-        while clean units contribute their cached values at the boundary.
+        A unit is recomputed only when it changed, has no cached value,
+        or one of its callees *moved* earlier in this walk (its new value
+        differs from the cached one, or its formal interface changed);
+        every other unit keeps its cached value, so an edit that leaves
+        a unit's summaries unchanged stops there.  Staleness is decided
+        per unit, never per level batch.  A recursive SCC with any stale
+        member re-runs its fixpoint seeded from empty summaries, exactly
+        as a from-scratch pass does.
 
-        ``warm`` maps unit names to disk-restored summary values for this
-        phase: content-addressed on the unit's span plus its callee
-        subtree, such a value *is* what the step function would compute,
-        so warm units skip computation while keeping the dirty-unit
-        rev-bump and miss accounting (cache updates stay identical).
+        Disk-restored values (per-unit summary records, content-addressed
+        on the unit's span plus its callee subtree, so equal to what the
+        step function computes) stand in for the step on stale units.
         """
 
+        cg = run.cg
         cache = self._summaries[phase]
         revs = self._summary_revs[phase]
-        dirty = _closure(changed, cg.callers)
-        work = {n: cache.get(n, default()) for n in cg.units}
-        for n in dirty:
-            work[n] = default()
-        warmed = set()
-        for n, value in (warm or {}).items():
-            if n in dirty:
-                work[n] = value
-                warmed.add(n)
-        for group, recursive in _scc_schedule(cg):
-            live = [n for n in group if n in dirty and n not in warmed]
+        moved = set(run.iface_moved)
+        done: Set[str] = set()
+
+        def commit(n: str, new) -> None:
+            done.add(n)
+            if n not in cache or not equal(new, cache[n]):
+                revs[n] = revs.get(n, 0) + 1
+                moved.add(n)
+            cache[n] = new
+
+        for group, recursive in run.schedule:
+            live = [
+                n
+                for n in group
+                if n in run.changed
+                or n not in cache
+                or any(c in moved for c in cg.callees[n])
+            ]
             if not live:
                 continue
-            if not recursive:
-                # Same-level, non-recursive units: their callees are
-                # final and they cannot read each other's summaries, so
-                # one step call per unit *is* its fixpoint — and the
-                # whole batch fans out across the pool.
-                payloads = [
-                    _summary_payload(phase, n, cg, work) for n in live
-                ]
-                for n, new in zip(
-                    live, self._pool.map("summary", payloads)
-                ):
-                    work[n] = new
+            if recursive:
+                work = dict(cache)
+                for n in group:
+                    work[n] = default()
+                scc_changed = True
+                passes = 0
+                while scc_changed and (max_passes is None or passes < max_passes):
+                    scc_changed = False
+                    passes += 1
+                    for n in group:
+                        new = step(cg.units[n], cg, work)
+                        if not equal(new, work[n]):
+                            work[n] = new
+                            scc_changed = True
+                for n in group:
+                    commit(n, work[n])
                 continue
-            scc_changed = True
-            passes = 0
-            while scc_changed and (max_passes is None or passes < max_passes):
-                scc_changed = False
-                passes += 1
-                for n in live:
-                    new = step(cg.units[n], cg, work)
-                    if not equal(new, work[n]):
-                        work[n] = new
-                        scc_changed = True
-        for n in cg.units:
-            if n in dirty:
-                self.stats.miss(phase)
-                if n not in cache or not equal(work[n], cache[n]):
-                    revs[n] = revs.get(n, 0) + 1
-                cache[n] = work[n]
-            else:
-                self.stats.hit(phase)
-        self._emit_progress(phase, dirty=len(dirty), units=len(cg.units))
+            # Same-level, non-recursive units: their callees are final
+            # and they cannot read each other's summaries, so one step
+            # call per unit *is* its fixpoint — and the batch fans out
+            # across the pool.
+            todo = []
+            for n in live:
+                value = self._warm_summary(run, n, phase)
+                if value is None:
+                    todo.append(n)
+                else:
+                    commit(n, value)
+            if todo:
+                payloads = [_summary_payload(phase, n, cg, cache) for n in todo]
+                for n, new in zip(todo, self._pool.map("summary", payloads)):
+                    commit(n, new)
+        self.stats.miss(phase, len(done))
+        self.stats.hit(phase, len(cg.units) - len(done))
+        self.stats.bump("summary.recomputed", len(done))
+        self.stats.bump("summary.cutoff", len(run.reach - done))
+        self._emit_progress(phase, dirty=len(done), units=len(cg.units))
+
+    def _warm_summary(self, run: _Run, name: str, phase: str):
+        """The disk-restored ``phase`` value of ``name``, or ``None``;
+        a unit's record is looked up once per walk, and only for units
+        the walk recomputes."""
+
+        if self._store is None:
+            return None
+        values = run.warm.get(name)
+        if values is None:
+            key = run.ukeys.get(name)
+            if key is not None:
+                values = self._store.load_unit_summary(key)
+                self.stats.bump(
+                    "disk.usum_hit" if values else "disk.usum_miss"
+                )
+            values = run.warm[name] = values or {}
+        return values.get(phase)
 
     def _update_ip_constants(self, cg: CallGraph, changed: Set[str]) -> None:
         """Top-down counterpart: constants flow caller → callee, so the
@@ -943,11 +1000,8 @@ class AnalysisEngine:
         cache = self._summaries["ipconst"]
         revs = self._summary_revs["ipconst"]
         dirty = _closure(changed, cg.callees)
-        for n in cg.units:
-            if n in dirty:
-                self.stats.miss("ipconst")
-            else:
-                self.stats.hit("ipconst")
+        self.stats.miss("ipconst", len(dirty))
+        self.stats.hit("ipconst", len(cg.units) - len(dirty))
         self._emit_progress(
             "ipconst", dirty=len(dirty), units=len(cg.units)
         )
@@ -961,7 +1015,7 @@ class AnalysisEngine:
         for _ in range(5):  # same Jacobi bound as compute_ip_constants
             round_changed = False
             const_maps = {
-                c: propagate_constants(cg.units[c], inherited=inherited[c])
+                c: self._const_map(c, cg.units[c], inherited[c])
                 for c in callers_needed
             }
             proposals = gather_site_proposals(cg, const_maps, targets=targets)
@@ -978,18 +1032,31 @@ class AnalysisEngine:
                     revs[n] = revs.get(n, 0) + 1
                 cache[n] = inherited[n]
 
+    def _const_map(
+        self, name: str, unit: ProcedureUnit, inherited: Dict[str, object]
+    ):
+        """``propagate_constants`` over one caller, reused while the
+        caller's AST (by identity) and inherited environment are the
+        same: an edit to a callee, and every further Jacobi round that
+        leaves the caller's environment alone, re-fold nothing.  One
+        entry per unit; the value's type is part of the key (``1`` and
+        ``1.0`` compare equal but fold differently)."""
+
+        env = tuple(
+            sorted((k, type(v).__name__, v) for k, v in inherited.items())
+        )
+        cached = self._const_maps.get(name)
+        if cached is not None and cached[0] is unit and cached[1] == env:
+            return cached[2]
+        cmap = propagate_constants(unit, inherited=inherited)
+        self._const_maps[name] = (unit, env, cmap)
+        return cmap
+
     # ------------------------------------------------------------------
     # stage: per-unit dependence analysis
     # ------------------------------------------------------------------
 
-    def _run_dependence(
-        self,
-        sf: SourceFile,
-        cg: CallGraph,
-        asserts: Dict[str, tuple],
-        revs: Dict[str, int],
-        owners: Dict[str, Tuple[_SpanEntry, int]],
-    ) -> Tuple[ProgramAnalysis, bool]:
+    def _run_dependence(self, run: _Run) -> Tuple[ProgramAnalysis, bool]:
         """Per-unit dependence analysis: cache walk plus one pooled batch.
 
         Misses are collected and dispatched through the pool in call-graph
@@ -1002,6 +1069,9 @@ class AnalysisEngine:
         then rebuilds the source file from the span entries).
         """
 
+        sf, cg, asserts, revs, owners = (
+            run.sf, run.cg, run.asserts, run.revs, run.owners
+        )
         feats = self.features
         stats = self.stats
         kv = kills_view(self._summaries["kill"], feats)  # type: ignore[arg-type]
@@ -1032,7 +1102,13 @@ class AnalysisEngine:
                     tuple(sorted(constants.get(name, {}).items())),
                     tuple(
                         sorted(
-                            (c, mr.get(c, 0), kr.get(c, 0), sr.get(c, 0))
+                            (
+                                c,
+                                mr.get(c, 0),
+                                kr.get(c, 0),
+                                sr.get(c, 0),
+                                run.ifaces[c],
+                            )
                             for c in cg.callees[name]
                         )
                     ),
@@ -1296,7 +1372,10 @@ class AnalysisEngine:
     # -- per-unit summary records ---------------------------------------
 
     def _unit_summary_keys(
-        self, cg: CallGraph, owners: Dict[str, Tuple[_SpanEntry, int]]
+        self,
+        schedule: List[Tuple[List[str], bool]],
+        cg: CallGraph,
+        owners: Dict[str, Tuple[_SpanEntry, int]],
     ) -> Dict[str, Optional[str]]:
         """Recursive content key per unit, callees-first.
 
@@ -1309,7 +1388,7 @@ class AnalysisEngine:
 
         feats = features_digest(self.features)
         keys: Dict[str, Optional[str]] = {}
-        for group, recursive in _scc_schedule(cg):
+        for group, recursive in schedule:
             if recursive:
                 for n in group:
                     keys[n] = None
@@ -1331,30 +1410,6 @@ class AnalysisEngine:
                     "\x00".join(parts).encode()
                 ).hexdigest()
         return keys
-
-    def _load_unit_summaries(
-        self,
-        ukeys: Dict[str, Optional[str]],
-        dirty: Set[str],
-    ) -> Dict[str, Dict[str, object]]:
-        """Disk-restored ``{unit: {phase: value}}`` for dirty units.
-
-        Only units about to be recomputed are looked up; in-memory
-        caches already cover the clean ones.
-        """
-
-        warm: Dict[str, Dict[str, object]] = {}
-        for n in sorted(dirty):
-            key = ukeys.get(n)
-            if key is None:
-                continue
-            values = self._store.load_unit_summary(key)
-            if values:
-                warm[n] = values
-                self.stats.bump("disk.usum_hit")
-            else:
-                self.stats.bump("disk.usum_miss")
-        return warm
 
     def _spill_unit_summaries(
         self, ukeys: Dict[str, Optional[str]]

@@ -40,6 +40,10 @@ shared memo and get one flat ``{key: number}`` dict:
   (one per analysis) and split results it served again from its last
   two splits (an edit's undo snapshot and invalidation diff).  Both are
   engine counters, so a session-bound snapshot reports them.
+* ``summary.recomputed`` / ``summary.cutoff`` — bottom-up summary units
+  (MOD/REF, kill and sections, summed) the engine recomputed, and units
+  the transitive-caller rule would have recomputed but the early cutoff
+  kept because no callee's summary moved.  Engine counters as well.
 * ``analyses`` — how many engine analysis cycles fed these numbers.
 
 Keys with a zero value are still present (a dashboard wants stable
@@ -86,6 +90,8 @@ STABLE_KEYS = (
     "journal.restores",
     "split.calls",
     "split.reused",
+    "summary.recomputed",
+    "summary.cutoff",
 )
 
 

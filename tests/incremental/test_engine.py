@@ -108,22 +108,179 @@ def test_second_analysis_is_all_hits():
     assert engine.stats.stage("dependence").hits == 3
 
 
+_STAGES = ("parse", "modref", "kill", "sections", "ipconst", "dependence")
+_BOTTOM_UP = ("modref", "kill", "sections")
+
+
+def _misses(engine):
+    return {s: engine.stats.stage(s).misses for s in _STAGES}
+
+
+def _edit_and_count(engine, source):
+    """Analyze ``source``; return (analysis, stage-miss deltas, units
+    whose non-recursive summary steps ran per phase, counter deltas)
+    and check cold parity."""
+
+    before = _misses(engine)
+    counters = dict(engine.stats.counters)
+    seen = {p: [] for p in _BOTTOM_UP}
+    pool = engine.pool
+    original = pool.map
+
+    def recording(kind, payloads):
+        if kind == "summary":
+            for payload in payloads:
+                seen[payload["phase"]].append(payload["unit"].name)
+        return original(kind, payloads)
+
+    pool.map = recording
+    try:
+        _, pa = engine.analyze(source)
+    finally:
+        pool.map = original
+    delta = {s: n - before[s] for s, n in _misses(engine).items()}
+    bumped = {
+        k: engine.stats.counters.get(k, 0) - counters.get(k, 0)
+        for k in ("summary.recomputed", "summary.cutoff")
+    }
+    assert program_fingerprint(pa) == program_fingerprint(_scratch(source))
+    return pa, delta, seen, bumped
+
+
 def test_single_unit_edit_dirties_only_its_region():
     engine = AnalysisEngine()
     engine.analyze(THREE_UNITS)
-    stats = engine.stats
-    before = {s: stats.stage(s).misses for s in ("parse", "modref", "ipconst", "dependence")}
     edited = THREE_UNITS.replace("* 2.0", "* 3.0")
-    _, pa = engine.analyze(edited)
-    assert stats.stage("parse").misses - before["parse"] == 1
-    # Bottom-up phases close over callers: scale + main are dirty, init is not.
-    assert stats.stage("modref").misses - before["modref"] == 2
+    _, delta, seen, bumped = _edit_and_count(engine, edited)
+    assert delta["parse"] == 1
+    # scale's summaries come back equal, so every bottom-up phase stops
+    # at scale: main (its caller) is a hit, as is init.
+    for phase in _BOTTOM_UP:
+        assert delta[phase] == 1, phase
+        assert seen[phase] == ["scale"], phase
+    assert bumped == {"summary.recomputed": 3, "summary.cutoff": 3}
     # Top-down constants close over callees: only scale is dirty.
-    assert stats.stage("ipconst").misses - before["ipconst"] == 1
-    # scale's summaries recompute to identical values, so no revision
-    # bump reaches main: only the edited unit's dependence stage reruns.
-    assert stats.stage("dependence").misses - before["dependence"] == 1
-    assert program_fingerprint(pa) == program_fingerprint(_scratch(edited))
+    assert delta["ipconst"] == 1
+    # No revision bump reaches main: only scale's dependences rerun.
+    assert delta["dependence"] == 1
+
+
+def test_moved_section_summary_recomputes_callers():
+    engine = AnalysisEngine()
+    engine.analyze(THREE_UNITS)
+    edited = THREE_UNITS.replace(
+        "         a(i) = a(i) * 2.0", "         a(i+1) = a(i) * 2.0"
+    )
+    _, delta, seen, bumped = _edit_and_count(engine, edited)
+    # The write target moved scale's section summary (not its MOD/REF
+    # or kill summaries): only the sections phase reaches main.
+    assert seen == {
+        "modref": ["scale"],
+        "kill": ["scale"],
+        "sections": ["scale", "main"],
+    }
+    assert bumped == {"summary.recomputed": 4, "summary.cutoff": 2}
+    # The sections revision bump reaches main's dependence entry.
+    assert delta["dependence"] == 2
+
+
+COMMON_UNITS = (
+    "      program main\n"
+    "      common /blk/ g(100)\n"
+    "      call work(10)\n"
+    "      call idle\n"
+    "      end\n"
+    "      subroutine work(n)\n"
+    "      common /blk/ g(100)\n"
+    "      real t(100)\n"
+    "      do i = 1, n\n"
+    "         t(i) = 1.0\n"
+    "      enddo\n"
+    "      end\n"
+    "      subroutine idle\n"
+    "      end\n"
+)
+
+
+def test_common_write_moves_summaries_up_to_main():
+    engine = AnalysisEngine()
+    engine.analyze(COMMON_UNITS)
+    wrote = COMMON_UNITS.replace("t(i) = 1.0", "g(i) = 1.0")
+    _, delta, seen, _ = _edit_and_count(engine, wrote)
+    # MOD/REF and sections move up to main; a partial sweep kills
+    # nothing, so the kill phase stops at work.
+    assert seen == {
+        "modref": ["work", "main"],
+        "kill": ["work"],
+        "sections": ["work", "main"],
+    }
+    assert delta["dependence"] == 2
+    # Toggling it back moves them again.
+    _, delta, seen, _ = _edit_and_count(engine, COMMON_UNITS)
+    assert seen["modref"] == ["work", "main"]
+    assert delta["dependence"] == 2
+
+
+RECURSIVE_UNITS = (
+    "      program main\n"
+    "      real x(100)\n"
+    "      call f(x, 5)\n"
+    "      end\n"
+    "      subroutine f(a, n)\n"
+    "      real a(100)\n"
+    "      if (n .gt. 0) call g(a, n - 1)\n"
+    "      a(1) = 0.0\n"
+    "      end\n"
+    "      subroutine g(a, n)\n"
+    "      real a(100)\n"
+    "      if (n .gt. 0) call f(a, n - 1)\n"
+    "      a(2) = 0.5\n"
+    "      end\n"
+)
+
+
+def test_recursive_scc_recomputes_as_a_group():
+    engine = AnalysisEngine()
+    engine.analyze(RECURSIVE_UNITS)
+    # An edit in g that leaves the cycle's summaries alone: the whole
+    # SCC {f, g} re-runs its fixpoint, main is cut off.
+    same = RECURSIVE_UNITS.replace("a(2) = 0.5", "a(2) = 0.7")
+    _, delta, seen, bumped = _edit_and_count(engine, same)
+    for phase in _BOTTOM_UP:
+        assert delta[phase] == 2, phase
+        assert seen[phase] == [], phase  # recursive SCCs run inline
+    assert bumped == {"summary.recomputed": 6, "summary.cutoff": 3}
+    assert delta["dependence"] == 1
+    # A write g adds moves the cycle's sections summary up to main.
+    moved = RECURSIVE_UNITS.replace("a(2) = 0.5", "a(n) = 0.5")
+    _, delta, seen, _ = _edit_and_count(engine, moved)
+    assert delta["sections"] == 3
+    assert seen["sections"] == ["main"]
+    assert delta["dependence"] >= 2
+
+
+def test_swapped_formals_reach_callers_with_equal_summaries():
+    """Swapping two referenced formals leaves every callee summary equal
+    but rebinds the caller's actuals: callers must still recompute."""
+
+    source = (
+        "      program main\n"
+        "      real x(100)\n"
+        "      do i = 1, 10\n"
+        "         call f(x, i, 3)\n"
+        "      enddo\n"
+        "      end\n"
+        "      subroutine f(a, n, m)\n"
+        "      real a(100)\n"
+        "      a(n) = m\n"
+        "      end\n"
+    )
+    engine = AnalysisEngine()
+    engine.analyze(source)
+    swapped = source.replace("f(a, n, m)", "f(a, m, n)")
+    _, delta, seen, _ = _edit_and_count(engine, swapped)
+    assert seen["sections"] == ["f", "main"]
+    assert delta["dependence"] == 2
 
 
 def test_assertion_change_reanalyzes_without_reparse():

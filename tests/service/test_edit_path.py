@@ -8,6 +8,9 @@
   whole-engine program record on the cold open and on ``close``, never
   per edit, so the store stays small; the record written on close warms
   a fresh server's reopen of the edited text.
+* Summary early cutoff: an edit that leaves a routine's summaries equal
+  recomputes that routine alone in each bottom-up phase; its callers are
+  cut off (``summary.recomputed`` / ``summary.cutoff`` in ``metrics``).
 """
 
 import pytest
@@ -181,3 +184,59 @@ def test_close_writes_the_record_a_fresh_server_reopens_warm(tmp_path):
         assert _ok(second, op="fingerprint", session="t") == digest
     finally:
         second.close()
+
+
+_PHASES = ("modref", "kill", "sections", "dependence")
+
+
+def _summary_state(server, session):
+    metrics = _ok(server, op="metrics", session=session)["metrics"]
+    stages = _ok(server, op="stats", session=session)["stages"]
+    return (
+        metrics["summary.recomputed"],
+        metrics["summary.cutoff"],
+        {p: stages[p]["misses"] for p in _PHASES},
+    )
+
+
+def _delta(after, before):
+    return (
+        after[0] - before[0],
+        after[1] - before[1],
+        {p: after[2][p] - before[2][p] for p in _PHASES},
+    )
+
+
+def test_summary_cutoff_counts_on_the_60_routine_program():
+    source = generate_program(n_routines=60)
+    line = _stencil_lines(source)[7]
+    server = PedServer()
+    try:
+        _ok(server, op="open", session="s", source=source)
+        cold = _summary_state(server, "s")
+        # The cold open recomputes all 62 units in each of three phases.
+        assert cold[:2] == (3 * 62, 0)
+
+        _ok(server, op="edit", session="s", start=line, end=line,
+            text=_edit_text(2))
+        coeff = _summary_state(server, "s")
+        # A coefficient edit: upd7 once per bottom-up phase; driver and
+        # the main program are cut off in all three.
+        assert _delta(coeff, cold) == (
+            3,
+            6,
+            {"modref": 1, "kill": 1, "sections": 1, "dependence": 1},
+        )
+
+        _ok(server, op="edit", session="s", start=line, end=line,
+            text=_edit_text(2).replace("x(i) =", "x(i+1) =", 1))
+        target = _summary_state(server, "s")
+        # A write-target edit moves upd7's sections summary: driver (its
+        # caller) recomputes, and so does driver's dependence entry.
+        assert _delta(target, coeff) == (
+            4,
+            5,
+            {"modref": 1, "kill": 1, "sections": 2, "dependence": 2},
+        )
+    finally:
+        server.close()
