@@ -1,4 +1,4 @@
-"""Experiment M7 — batched dependence testing and the binary wire format.
+"""Experiment M7 — batched dependence testing and the compressed wire.
 
 Two performance claims from this PR, measured end to end and recorded
 into ``benchmarks/out/batchtest.json``:
@@ -24,9 +24,9 @@ into ``benchmarks/out/batchtest.json``:
    and a 2-shard consistent-hash fleet.  M1 tier statistics must be
    bit-identical with and without the memo.
 
-2. *Binary delta frames* — a streamed edit session over the
-   length-prefixed binary frame protocol with pane deltas transfers
-   fewer bytes than the same session over JSON lines.
+2. *Compressed wire* — a streamed edit session on the ``compress`` rung
+   (frames inside one deflate stream per direction) transfers fewer
+   bytes than the same session over JSON lines.
 """
 
 import json
@@ -279,8 +279,8 @@ WIRE_SOURCE = """      subroutine p(a, n)
 
 
 def test_binary_frames_transfer_fewer_bytes(benchmark):
-    """A streamed edit session over binary delta frames moves fewer
-    bytes than the identical session over JSON lines."""
+    """A streamed edit session on the compress rung moves fewer bytes
+    than the identical session over JSON lines."""
 
     srv = PedServer(max_workers=2)
     tcp = serve_tcp(srv)
@@ -291,11 +291,11 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
     ).start()
     port = tcp.server_address[1]
 
-    def run_session(binary: bool):
+    def run_session(compress: bool):
         with PedClient.connect(port=port) as c:
-            if binary:
-                assert c.negotiate_frames() is True
-            sid = f"wire{int(binary)}"
+            if compress:
+                assert c.negotiate_compression() is True
+            sid = f"wire{int(compress)}"
             c.request("open", session=sid, source=WIRE_SOURCE)
             for i in range(8):
                 c.request(
@@ -308,8 +308,8 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
             return c.bytes_received, c.bytes_sent
 
     try:
-        json_in, json_out = run_session(binary=False)
-        bin_in, bin_out = benchmark.pedantic(
+        json_in, json_out = run_session(compress=False)
+        z_in, z_out = benchmark.pedantic(
             run_session, args=(True,),
             rounds=1, iterations=1, warmup_rounds=0,
         )
@@ -318,15 +318,15 @@ def test_binary_frames_transfer_fewer_bytes(benchmark):
         tcp.server_close()
         srv.close()
 
-    assert bin_in < json_in, (bin_in, json_in)
+    assert z_in < json_in, (z_in, json_in)
     _merge_artifact(
         "wire",
         {
             "session": "open + 8x(edit, loops, deps, source)",
             "json_bytes_received": json_in,
             "json_bytes_sent": json_out,
-            "binary_bytes_received": bin_in,
-            "binary_bytes_sent": bin_out,
-            "bytes_ratio_json_over_binary": json_in / max(bin_in, 1),
+            "compress_bytes_received": z_in,
+            "compress_bytes_sent": z_out,
+            "bytes_ratio_json_over_compress": json_in / max(z_in, 1),
         },
     )

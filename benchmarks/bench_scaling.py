@@ -13,6 +13,7 @@ dependence graphs, and the per-size pruning / memo hit rates are
 recorded to ``benchmarks/out/hotpath.json``.
 """
 
+import gc
 import json
 import time
 
@@ -146,11 +147,25 @@ def test_analysis_scaling_is_near_linear(benchmark):
     assert ratio < (sizes[-1] / sizes[0]) ** 1.6, ratio
 
 
+#: Paired rounds behind the hot-path speedup.
+HOTPATH_ROUNDS = 5
+
+
 def test_hotpath_speedup_on_40_routines(benchmark):
     """The dependence hot path — pair pruning, memoization and batched
     tier execution — at least halves 40-routine analysis time against
     the fully scalar reference, with byte-identical dependence graphs
-    (parity asserted here, not assumed)."""
+    (parity asserted here, not assumed).
+
+    Each round times the reference and the optimized analysis back to
+    back, and the speedup is the median of the per-round ratios: a
+    single timed round read 3.41-5.62 on unchanged code on a 2-core
+    box, whose CPU speed drifts within seconds.  Each timed call starts
+    after a full garbage collection, so garbage that earlier tests left
+    in the process is not collected inside the timed region: run after
+    ``bench_wire.py`` in one process, the median read 3.71 without the
+    collection and 5.35 with it.
+    """
 
     source = generate_program(n_routines=40)
 
@@ -158,36 +173,47 @@ def test_hotpath_speedup_on_40_routines(benchmark):
         return analyze_program(parse_and_bind(source), FeatureSet())
 
     def timed(prune, memo, batch):
+        gc.collect()
         t0 = time.perf_counter()
         pa = _with_hot_path(prune, memo, analyze, batch=batch)
         return time.perf_counter() - t0, pa
 
     def measure():
-        t_ref, pa_ref = timed(False, False, False)
-        t_opt, pa_opt = timed(True, True, True)
-        return t_ref, pa_ref, t_opt, pa_opt
+        rounds = []
+        for _ in range(HOTPATH_ROUNDS):
+            t_ref, pa_ref = timed(False, False, False)
+            t_opt, pa_opt = timed(True, True, True)
+            rounds.append((t_ref, t_opt))
+        return rounds, pa_ref, pa_opt
 
-    t_ref, pa_ref, t_opt, pa_opt = benchmark.pedantic(
+    rounds, pa_ref, pa_opt = benchmark.pedantic(
         measure, rounds=1, iterations=1, warmup_rounds=1
     )
     assert program_fingerprint(pa_opt) == program_fingerprint(pa_ref)
     totals = _hotpath_totals(pa_opt)
-    speedup = t_ref / max(t_opt, 1e-9)
+    ratios = sorted(t_ref / max(t_opt, 1e-9) for t_ref, t_opt in rounds)
+    speedup = ratios[len(ratios) // 2]
     save_artifact(
         "hotpath_speedup.json",
         json.dumps(
             dict(
                 totals,
                 routines=40,
-                seconds_reference=t_ref,
-                seconds_optimized=t_opt,
+                rounds=HOTPATH_ROUNDS,
+                seconds_reference=sorted(r for r, _ in rounds)[
+                    len(rounds) // 2
+                ],
+                seconds_optimized=sorted(o for _, o in rounds)[
+                    len(rounds) // 2
+                ],
+                round_speedups=ratios,
                 speedup=speedup,
             ),
             indent=2,
         )
         + "\n",
     )
-    assert speedup >= 2.0, (t_ref, t_opt)
+    assert speedup >= 2.0, ratios
 
 
 def test_interactive_latency_on_spec77_sized_program(benchmark):

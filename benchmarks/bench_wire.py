@@ -1,13 +1,13 @@
 """Experiment W2 — bytes on the wire across protocol levels.
 
-The v6 wire stack claims an interactive session costs a fraction of its
-JSON-lines bytes once a connection climbs the negotiation ladder
-(``frames`` -> ``compress``): progress bursts coalesce into multi-record
-frames and frames deflate against per-connection dictionaries seeded
-from the delta baselines.  This bench measures exactly that, twice:
+An interactive session should cost a fraction of its JSON-lines bytes
+once a connection climbs the negotiation ladder (``frames`` ->
+``compress``): on the top rung every envelope's frame runs through one
+deflate stream per direction, so it compresses against everything the
+connection carried before it.  This bench measures exactly that, twice:
 
 * an 8-edit streamed editing session against a threaded server, run
-  three times — raw JSON lines, v5 binary frames, v6 compression — and
+  three times — JSON lines, plain frames, compressed frames — and
 * a corpus submit fanned over a 2-shard fleet behind a router, with the
   client and the shard hops at the same level.
 
@@ -17,7 +17,9 @@ asserted before timing: every mode yields the *identical* event
 sequence and fingerprint (the stack is invisible except for cost), and
 the compressed session ships at least 2.5x fewer bytes than frames
 alone.  ``benchmarks/out/wire.json`` gets the numbers;
-``wire.bytes_ratio_frames_over_compress`` is gated in
+``bytes_ratio_frames_over_compress`` (``wire.bytes_ratio``) and
+``fleet_bytes_ratio_json_over_compress``
+(``wire.fleet_json_over_compress``) are gated in
 ``benchmarks/baselines.json``.
 """
 
@@ -44,9 +46,9 @@ EDIT_TEXT = "            f0(i, j) = 0.01 * i + 0.1 * j + {k}.0"
 
 def _negotiate(client: PedClient, mode: str) -> None:
     if mode in ("frames", "compress"):
-        assert client.negotiate_frames(), "server must speak v5 frames"
+        assert client.negotiate_frames(), "server must speak frames"
     if mode == "compress":
-        assert client.negotiate_compression(), "server must speak v6"
+        assert client.negotiate_compression(), "server must speak compress"
 
 
 def _event_key(ev) -> tuple:
@@ -183,7 +185,7 @@ def test_wire_bytes_across_protocol_levels(benchmark):
         / session["compress"]["bytes_received"]
     )
     assert ratio_frames >= 2.5, (
-        f"compression+coalescing must ship >=2.5x fewer bytes than "
+        f"compression must ship >=2.5x fewer bytes than "
         f"frames alone, got {ratio_frames:.2f}x"
     )
 

@@ -35,18 +35,12 @@ budget exhausts become ``shard-lost`` error records in the merged reply
 are retried last on later requests, so a restarted shard heals back
 into the ring without operator action.
 
-**Shard wire mode.**  Each lazily created shard client climbs the v6
+**Shard wire mode.**  Each lazily created shard client climbs the
 negotiation ladder to ``wire`` ("json", "frames" or the default
 "compress"), falling back gracefully one rung at a time — a fleet can
-mix v6 shards with older ones and every hop just runs at the best level
-both ends speak.  When a compressed shard coalesces a burst of progress
-events into one multi-record frame, the router relays the burst *as a
-burst*: the shard client delivers it as one list, the router re-emits
-it as one ``events.batch`` pseudo-event, and the client-facing
-transport ships it as one frame again (re-deflated against that
-connection's own dictionaries — dictionaries are per-connection
-baselines, so bytes are re-encoded but the frame structure, ordering
-and event payloads survive the hop intact).
+mix shards of different protocol versions and every hop just runs at
+the best level both ends speak.  Shard events are relayed one by one;
+each hop compresses them in its own deflate stream.
 
 **Memo gossip.**  ``memo.pull`` unions the shared pair-test memo across
 shards and ``memo.push`` fans entries to every shard — the ops
@@ -216,7 +210,7 @@ class FleetRouter:
         )
         # Climb the negotiation ladder to the configured wire mode;
         # every rung falls back gracefully, so an old shard that only
-        # speaks JSON or v5 frames still joins the ring.
+        # speaks JSON lines or plain frames still joins the ring.
         if self.wire in ("frames", "compress"):
             if client.negotiate_frames():
                 self.stats.bump("router.wire_frames")
@@ -259,7 +253,6 @@ class FleetRouter:
         params: Dict,
         emit: Optional[Callable[[str, Dict], None]] = None,
         on_event: Optional[Callable] = None,
-        on_batch: Optional[Callable] = None,
         timeout: Optional[float] = None,
     ) -> Dict:
         """One request to one shard; raises on transport loss."""
@@ -271,32 +264,12 @@ class FleetRouter:
             raise
         stream = emit is not None or on_event is not None
         sink = on_event
-        batch_sink = on_batch
         if sink is None and emit is not None:
             def sink(ev):  # noqa: E306 — local relay
                 emit(ev.kind, ev.data)
-
-            if batch_sink is None:
-                # A coalesced shard frame relays as one batch event, so
-                # the client-facing transport ships one frame again.
-                def batch_sink(evs):  # noqa: E306 — local relay
-                    self.stats.bump("router.batches_relayed")
-                    emit(
-                        protocol.EV_BATCH,
-                        {
-                            "events": [
-                                {"kind": ev.kind, "data": ev.data}
-                                for ev in evs
-                            ]
-                        },
-                    )
         try:
             pending = client.submit(
-                op,
-                stream=stream,
-                on_event=sink,
-                on_batch=batch_sink,
-                **params,
+                op, stream=stream, on_event=sink, **params
             )
             result = pending.result(timeout or self.forward_timeout)
         except ServerUnavailableError:
@@ -565,19 +538,6 @@ class FleetRouter:
                 data = renumber(ev.data)
             emit(ev.kind, data)
 
-        def shard_batch(evs) -> None:
-            # A coalesced shard burst renumbers under one lock hold and
-            # relays as one batch, staying one frame on a v6 client hop.
-            if emit is None:
-                return
-            with progress_lock:
-                records = [
-                    {"kind": ev.kind, "data": renumber(ev.data)}
-                    for ev in evs
-                ]
-            self.stats.bump("router.batches_relayed")
-            emit(protocol.EV_BATCH, {"events": records})
-
         streaming = wait and emit is not None
 
         def submit_to(shard: str, names: List[str]) -> Dict:
@@ -592,7 +552,6 @@ class FleetRouter:
                 "corpus.submit",
                 payload,
                 on_event=shard_event if streaming else None,
-                on_batch=shard_batch if streaming else None,
             )
 
         # Partition onto the ring (live shards preferred) and fan out.

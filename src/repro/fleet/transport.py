@@ -16,28 +16,21 @@ same ``seq`` guarantees, byte-identical results.
 (:class:`~repro.service.session_host.PedServer`) and the fleet router
 (:class:`~repro.fleet.router.FleetRouter`) both do.
 
-**Per-connection machinery.**
+**Per-connection machinery.**  A
+:class:`~repro.service.protocol.WireCodec` holds the connection's rung
+(JSON lines, frames or deflate), its ``seq`` stamps and its ``net.*``
+accounting; this module moves the bytes.
 
-* *Reader*: a manual chunked line assembler (no ``readline`` limits to
-  trip over).  A line within ``max_request_bytes + slack`` is parsed by
-  :func:`~repro.service.protocol.parse_request`, which rejects
-  over-limit requests with ``payload-too-large`` and a recovered id; a
-  line so large it blows past the slack is answered the same way
-  (id ``null``) and discarded as it streams in, without buffering it.
-  After a client negotiates v5 binary frames (inline ``frames`` op),
-  the reader hands the residual buffer to a
-  :class:`~repro.service.protocol.FrameDecoder` and dispatches decoded
-  envelopes instead of lines.
-* *Writer*: one task draining a bounded outbound queue; it stamps
-  ``seq`` (single consumer, so queue order *is* seq order *is* wire
-  order), writes everything already queued as one burst and awaits
-  ``drain()`` once per burst — TCP backpressure without a syscall and
-  a loop round-trip per line.  On connections that negotiated the v6
-  ``compress`` rung, a burst longer than one envelope is the queue's
-  back-pressure watermark: runs of ``analysis.progress`` events inside
-  it coalesce into one multi-record frame, and the adaptive zlib layer
-  squeezes whatever frames pay for it (``net.*`` counters land in the
-  host's stats either way).
+* *Reader*: feeds each received chunk to the codec and dispatches the
+  requests it yields.  A bad line or frame is answered with the
+  codec's structured error (``payload-too-large`` / ``bad-request``)
+  and the connection reads on; a corrupt deflate stream is answered
+  and the connection closes.
+* *Writer*: one task draining a bounded outbound queue; it encodes
+  everything already queued as one burst (single consumer, so queue
+  order *is* seq order *is* wire order) and awaits ``drain()`` once per
+  burst — one write, and on a compressed connection one
+  ``Z_SYNC_FLUSH``, per burst instead of per envelope.
   Worker threads enqueue via ``run_coroutine_threadsafe(...).result()``,
   which blocks the producing handler until the queue has room: a slow
   client throttles its own requests' event streams, never the loop.
@@ -66,9 +59,6 @@ __all__ = ["AsyncTransport", "serve_async_tcp", "serve_async_stdio"]
 
 log = logging.getLogger(__name__)
 
-#: Slack past ``max_request_bytes`` we still buffer, so slightly-over
-#: lines reach :func:`parse_request` whole and keep their recovered id.
-OVERSIZE_SLACK = 64 * 1024
 #: Bound on the per-connection outbound queue (envelopes, not bytes).
 OUTBOUND_QUEUE = 256
 #: Reader chunk size.
@@ -76,31 +66,6 @@ CHUNK = 64 * 1024
 #: Cap on envelopes written per burst before the writer must drain —
 #: bounds the bytes buffered in the transport between drains.
 BURST_MAX = 64
-
-
-class _FrameSwitch:
-    """Outbound-queue sentinel carrying the ``frames`` ok reply.
-
-    The write loop emits the reply as its *last* JSON line and encodes
-    everything after as binary frames — one queue item, so no envelope
-    a worker thread enqueues can land between the reply and the switch.
-    """
-
-    __slots__ = ("reply",)
-
-    def __init__(self, reply: Dict) -> None:
-        self.reply = reply
-
-
-class _CompressSwitch:
-    """Outbound-queue sentinel for the ``compress`` rung: the reply
-    ships as a plain frame, everything after it may compress and
-    progress-event runs start coalescing into multi-record frames."""
-
-    __slots__ = ("reply",)
-
-    def __init__(self, reply: Dict) -> None:
-        self.reply = reply
 
 
 class _AsyncConnection:
@@ -116,7 +81,6 @@ class _AsyncConnection:
         self.host = transport.host
         self.reader = reader
         self.writer = writer
-        self._seq = protocol.Sequencer()
         self._outq: "asyncio.Queue[Optional[Dict]]" = asyncio.Queue(
             maxsize=OUTBOUND_QUEUE
         )
@@ -126,13 +90,10 @@ class _AsyncConnection:
         self._inflight: Set[asyncio.Task] = set()
         self._listener_token = None
         self._writer_task: Optional[asyncio.Task] = None
-        #: Reader-side framing flags (the write loop keeps its own
-        #: state, flipped by the switch sentinels riding the queue).
-        self._binary = False
-        self._compress = False
-        self._reply_keys: Dict[object, str] = {}
-        self._stats = getattr(self.host, "stats", None)
-        self._acct = [0, 0, 0, 0]  # wire, raw, compressed, coalesced
+        self._codec = protocol.WireCodec(
+            self.host.max_request_bytes,
+            stats=getattr(self.host, "stats", None),
+        )
 
     # -- sending -------------------------------------------------------
 
@@ -156,154 +117,25 @@ class _AsyncConnection:
     def _broadcast(self, kind: str, data: Dict) -> None:
         self._send_threadsafe(protocol.event_envelope(None, kind, data))
 
-    def _bump(self, name: str, n: int = 1) -> None:
-        if self._stats is not None and n:
-            self._stats.bump(name, n)
-
-    def _account_frames(self, encoder) -> None:
-        """Bump ``net.*`` by the encoder's movement since last flush."""
-
-        now = [
-            encoder.bytes_wire,
-            encoder.bytes_raw,
-            encoder.frames_compressed,
-            encoder.coalesced_events,
-        ]
-        prev, self._acct = self._acct, now
-        self._bump("net.bytes_out", now[0] - prev[0])
-        self._bump("net.bytes_out_raw", now[1] - prev[1])
-        self._bump("net.frames_compressed", now[2] - prev[2])
-        self._bump("net.coalesced_events", now[3] - prev[3])
-
-    def _encode_item(self, item, encoder) -> bytes:
-        """One outbound envelope → its wire bytes (seq stamped here)."""
-
-        envelope = item
-        envelope["seq"] = self._seq.next()
-        if encoder is not None:
-            key = None
-            if protocol.is_reply(envelope):
-                key = self._reply_keys.pop(envelope.get("id"), None)
-            return encoder.encode(envelope, key)
-        line = protocol.encode(envelope)
-        data = line.encode("utf-8") + b"\n"
-        self._bump("net.bytes_out", len(data))
-        self._bump("net.bytes_out_raw", len(data))
-        return data
-
-    def _encode_group(self, envelopes, encoder) -> bytes:
-        """A coalesced event run → one multi-record frame."""
-
-        for envelope in envelopes:
-            envelope["seq"] = self._seq.next()
-        return encoder.encode_multi(envelopes)
-
-    @staticmethod
-    def _coalescible(envelope) -> bool:
-        return envelope.get("event") == protocol.EV_PROGRESS
-
     async def _write_loop(self) -> None:
-        encoder = None
-        compress = False
         try:
             while True:
-                item = await self._outq.get()
-                # Burst-drain: pull everything already queued and write
-                # it in one go, awaiting ``drain()`` once per burst
-                # instead of once per envelope — under event-storm load
-                # the kernel sees one large write, not N tiny ones.  A
-                # burst longer than one item *is* the queue backing up:
-                # on compressed connections, runs of progress events
-                # inside it coalesce into one multi-record frame.
-                burst = [item]
+                # Burst-drain: encode everything already queued as one
+                # write and await ``drain()`` once per burst — under
+                # event-storm load the kernel sees one large write, not
+                # N tiny ones.
+                burst = [await self._outq.get()]
                 while len(burst) < BURST_MAX:
                     try:
                         burst.append(self._outq.get_nowait())
                     except asyncio.QueueEmpty:
                         break
-                # Trickle aid: when a compressed connection has nothing
-                # but progress events in hand, wait out the coalescing
-                # window for company — the same grace the threaded
-                # server's flush timer gives.  Anything non-coalescible
-                # (a reply, a sentinel) aborts the wait immediately, so
-                # terminal replies are never held back.
-                if compress and all(
-                    isinstance(b, dict) and self._coalescible(b)
-                    for b in burst
-                ):
-                    deadline = self._loop.time() + protocol.COALESCE_WINDOW
-                    while len(burst) < protocol.COALESCE_MAX:
-                        remaining = deadline - self._loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            nxt = await asyncio.wait_for(
-                                self._outq.get(), remaining
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        burst.append(nxt)
-                        if not (
-                            isinstance(nxt, dict) and self._coalescible(nxt)
-                        ):
-                            break
-                out = bytearray()
-                stop = False
-                i, n = 0, len(burst)
-                while i < n:
-                    item = burst[i]
-                    i += 1
-                    if item is None:
-                        stop = True
-                        break
-                    if type(item) is _FrameSwitch:
-                        envelope = item.reply
-                        envelope["seq"] = self._seq.next()
-                        line = protocol.encode(envelope)
-                        data = line.encode("utf-8") + b"\n"
-                        self._bump("net.bytes_out", len(data))
-                        self._bump("net.bytes_out_raw", len(data))
-                        out += data
-                        encoder = protocol.FrameEncoder()
-                        continue
-                    if type(item) is _CompressSwitch:
-                        # The reply itself ships plain; the flag flips
-                        # after, so nothing before it compresses.
-                        out += self._encode_item(item.reply, encoder)
-                        encoder.compress = True
-                        compress = True
-                        continue
-                    batch = protocol.expand_event_batch(item)
-                    if batch is not None:
-                        # A host-side burst (router relay): keep it one
-                        # frame when compressing, else fan it out.
-                        if compress and batch:
-                            out += self._encode_group(batch, encoder)
-                        else:
-                            for env in batch:
-                                out += self._encode_item(env, encoder)
-                        continue
-                    if compress and self._coalescible(item):
-                        j = i - 1
-                        while (
-                            j + 1 < n
-                            and isinstance(burst[j + 1], dict)
-                            and self._coalescible(burst[j + 1])
-                        ):
-                            j += 1
-                        if j >= i:
-                            out += self._encode_group(
-                                burst[i - 1 : j + 1], encoder
-                            )
-                            i = j + 1
-                            continue
-                    out += self._encode_item(item, encoder)
-                if out:
-                    self.writer.write(bytes(out))
+                stop = None in burst
+                if stop:
+                    burst = burst[: burst.index(None)]
+                if burst:
+                    self.writer.write(self._codec.encode(*burst))
                     await self.writer.drain()
-                    self._bump("net.flushes")
-                    if encoder is not None:
-                        self._account_frames(encoder)
                 if stop:
                     break
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -313,10 +145,6 @@ class _AsyncConnection:
 
     def _run_request(self, req: Dict) -> None:
         rid = req.get("id")
-        if self._binary:
-            key = protocol.reply_delta_key(req)
-            if key is not None:
-                self._reply_keys[rid] = key
         timed_out = threading.Event()
 
         def emit(kind: str, data: Dict) -> None:
@@ -365,23 +193,7 @@ class _AsyncConnection:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    # -- one request line ----------------------------------------------
-
-    async def _handle_line(self, line: str, size: int) -> bool:
-        """Process one request line; ``False`` ends the connection."""
-
-        if not line.strip():
-            return True
-        try:
-            req = protocol.parse_request(
-                line, max_bytes=self.host.max_request_bytes, size=size
-            )
-        except ProtocolError as exc:
-            await self._send(
-                protocol.reply_error(exc.request_id, exc.type, str(exc))
-            )
-            return True
-        return await self._dispatch(req)
+    # -- the read loop -------------------------------------------------
 
     async def _dispatch(self, req: Dict) -> bool:
         """One parsed request; ``False`` ends the connection."""
@@ -395,54 +207,8 @@ class _AsyncConnection:
                 )
             )
             return False
-        if req.get("op") == protocol.FRAMES_OP:
-            rid = req.get("id")
-            if req.get("mode") != "binary":
-                await self._send(
-                    protocol.reply_error(
-                        rid,
-                        protocol.BAD_REQUEST,
-                        f"unknown framing mode {req.get('mode')!r}",
-                    )
-                )
-            elif self._binary:
-                await self._send(protocol.reply_ok(rid, {"frames": "binary"}))
-            else:
-                self._binary = True
-                await self._send(
-                    _FrameSwitch(protocol.reply_ok(rid, {"frames": "binary"}))
-                )
-            return True
-        if req.get("op") == protocol.COMPRESS_OP:
-            rid = req.get("id")
-            if req.get("mode") != "zlib":
-                await self._send(
-                    protocol.reply_error(
-                        rid,
-                        protocol.BAD_REQUEST,
-                        f"unknown compression mode {req.get('mode')!r}",
-                    )
-                )
-            elif not self._binary:
-                await self._send(
-                    protocol.reply_error(
-                        rid,
-                        protocol.BAD_REQUEST,
-                        "compress requires binary frames "
-                        "(negotiate frames first)",
-                    )
-                )
-            elif self._compress:
-                await self._send(
-                    protocol.reply_ok(rid, {"compress": "zlib"})
-                )
-            else:
-                self._compress = True
-                await self._send(
-                    _CompressSwitch(
-                        protocol.reply_ok(rid, {"compress": "zlib"})
-                    )
-                )
+        if req.get("op") in (protocol.FRAMES_OP, protocol.COMPRESS_OP):
+            await self._send(self._codec.negotiate(req))
             return True
         if req.get("op") == "cancel":
             self.host.request_cancel(req.get("target"))
@@ -464,99 +230,45 @@ class _AsyncConnection:
         self._run_request(req)
         return True
 
-    # -- the read loop -------------------------------------------------
-
     async def run(self) -> None:
         self._listener_token = self.host.add_listener(self._broadcast)
         self.host.connections.enter()
         self._writer_task = self._loop.create_task(self._write_loop())
-        hard_cap = self.host.max_request_bytes + OVERSIZE_SLACK
-        buf = bytearray()
-        discarding = False
+        codec = self._codec
         try:
-            while True:
+            while not self.host.shutdown_event.is_set():
                 try:
                     chunk = await self.reader.read(CHUNK)
                 except (ConnectionError, OSError):
                     break
                 if not chunk:
                     break  # EOF: client closed (possibly mid-request)
-                self._bump("net.bytes_in", len(chunk))
-                buf += chunk
-                stop = False
-                while True:
-                    nl = buf.find(b"\n")
-                    if nl < 0:
-                        break
-                    raw, buf = bytes(buf[:nl]), buf[nl + 1 :]
-                    if discarding:
-                        # Tail of a line already rejected as oversized.
-                        discarding = False
-                        continue
-                    line = raw.decode("utf-8", errors="replace")
-                    if not await self._handle_line(line, len(raw)):
-                        stop = True
-                        break
-                    if self._binary:
-                        # Negotiated: whatever the buffer still holds
-                        # is the head of the frame stream.
-                        await self._run_binary(bytes(buf))
-                        stop = True
-                        break
-                if stop:
-                    break
-                if not discarding and len(buf) > hard_cap:
-                    # A line so large we refuse to buffer it: answer
-                    # now (the id is unrecoverable from a partial
-                    # line) and discard until its newline arrives.
-                    await self._send(
-                        protocol.reply_error(
-                            None,
-                            protocol.PAYLOAD_TOO_LARGE,
-                            f"request over the "
-                            f"{self.host.max_request_bytes}-byte limit",
-                        )
-                    )
-                    buf.clear()
-                    discarding = True
-                if self.host.shutdown_event.is_set():
+                codec.feed(chunk)
+                if not await self._dispatch_ready():
                     break
         finally:
             await self._teardown()
 
-    async def _run_binary(self, head: bytes) -> None:
-        """Frame-mode read loop (after ``frames`` negotiation)."""
+    async def _dispatch_ready(self) -> bool:
+        """Dispatch every complete request; ``False`` ends the
+        connection."""
 
-        decoder = protocol.FrameDecoder(self.host.max_request_bytes)
-        if head:
-            decoder.feed(head)
         while True:
-            while True:
-                try:
-                    req = decoder.next()
-                except ProtocolError as exc:
-                    # The decoder already arranged to skip the bad
-                    # frame; answer and keep reading.
-                    await self._send(
-                        protocol.reply_error(
-                            exc.request_id, exc.type, str(exc)
-                        )
-                    )
-                    continue
-                if req is None:
-                    break
-                if not await self._dispatch(req):
-                    return
-            if self.host.shutdown_event.is_set():
-                return
             try:
-                chunk = await self.reader.read(CHUNK)
-            except (ConnectionError, OSError):
-                return
-            if not chunk:
-                return  # EOF: a partial frame just never completes
-            self._bump("net.bytes_in", len(chunk))
-            decoder.feed(chunk)
+                req = self._codec.next()
+            except ProtocolError as exc:
+                # The codec has skipped the bad line or frame, unless
+                # the stream itself is corrupt.
+                await self._send(
+                    protocol.reply_error(exc.request_id, exc.type, str(exc))
+                )
+                if exc.fatal:
+                    return False
+                continue
+            if req is None:
+                return True
+            if not await self._dispatch(req):
+                return False
 
     async def _teardown(self) -> None:
         if self._torn_down:

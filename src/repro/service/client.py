@@ -9,17 +9,14 @@ so many requests may be in flight at once; :meth:`request` is the
 blocking convenience wrapper and :meth:`submit` the asynchronous one.
 
 On a byte-level transport (``connect`` and ``spawn`` both provide one)
-:meth:`negotiate_frames` upgrades the connection to the v5 binary frame
-format — length-prefixed envelopes with delta-encoded repeats, so a
-pane refresh or a progress stream costs bytes proportional to what
-*changed* — and :meth:`negotiate_compression` climbs the second rung:
-v6 adaptive zlib frames (dictionary-seeded from the delta baselines)
-plus server-side coalescing of progress-event bursts into multi-record
-frames, which this client transparently unpacks back into individual
-:class:`ServerEvent`\\ s, so ``stream()``/``on_event`` callers see the
-exact same sequence either way.  Both calls degrade gracefully: an
-older server answers ``unknown-op`` (or refuses the rung) and the
-connection stays at whatever level it reached.  ``bytes_sent`` /
+:meth:`negotiate_frames` moves the connection onto length-prefixed
+frames and :meth:`negotiate_compression` climbs one rung further, to one
+deflate stream per direction, so each envelope costs only what is new
+against everything the connection carried before it.  Both rungs are
+invisible above the wire: ``stream()``/``on_event`` callers see the
+exact same events either way.  Both calls degrade gracefully: a server
+that does not speak the rung answers with an error and the connection
+stays at whatever level it reached.  ``bytes_sent`` /
 ``bytes_received`` count wire traffic in every mode.
 
 >>> client = PedClient.connect(port=7077)
@@ -68,7 +65,6 @@ fleet router turns them on.
 from __future__ import annotations
 
 import itertools
-import json
 import queue
 import random
 import socket
@@ -164,27 +160,21 @@ class PedClient:
         self._rfile = rfile
         self._wfile = wfile
         self._on_close = on_close
-        # Byte-level streams (socket/pipe makefiles in "b" mode) enable
-        # exact wire accounting and binary-frame negotiation; text
-        # streams (tests hand in StringIO pairs) stay JSON-lines only.
+        # Byte-level streams (socket/pipe makefiles in "b" mode) can
+        # climb the wire rungs; text streams (StringIO pairs) stay on
+        # JSON lines.
         self._rbinary = _is_binary(rfile)
         self._wbinary = _is_binary(wfile)
-        #: Wire traffic counters, framing-independent (binary streams
-        #: count exact bytes; text streams count characters, close
-        #: enough for the ASCII-dominated envelopes).
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        #: Non-None once binary framing is negotiated (the write side).
-        self._encoder: Optional[protocol.FrameEncoder] = None
-        self._frames_rid: object = None
-        self._switch_to_frames = False
-        self._compress = False
+        self._codec = protocol.WireCodec(
+            MAX_REPLY_FRAME_BYTES,
+            binary=self._rbinary and self._wbinary,
+            client=True,
+        )
         self._write_lock = threading.Lock()
         self._pending: Dict[object, Future] = {}
         self._ops: Dict[object, str] = {}
         self._pending_lock = threading.Lock()
         self._event_sinks: Dict[object, Callable[[ServerEvent], None]] = {}
-        self._batch_sinks: Dict[object, Callable[[list], None]] = {}
         self._reply_seq: Dict[object, Optional[int]] = {}
         self._listeners: Dict[int, Callable[[ServerEvent], None]] = {}
         self._listener_ids = itertools.count(1)
@@ -308,117 +298,54 @@ class PedClient:
     # the wire
     # ------------------------------------------------------------------
 
-    def _read_loop(self) -> None:
-        try:
-            if self._rbinary:
-                self._read_lines_binary()
-            else:
-                for line in self._rfile:
-                    self.bytes_received += len(line)
-                    self._handle_line(line.strip())
-        except (OSError, ValueError):
-            pass  # stream torn down under the reader
-        finally:
-            self._fail_pending("connection closed")
+    @property
+    def bytes_sent(self) -> int:
+        return self._codec.bytes_out
 
-    def _read_lines_binary(self) -> None:
-        """JSON-lines over a byte stream; hands off to the frame loop
-        once a ``frames`` negotiation reply lands (the reply is the last
-        JSON line of the connection, so no readahead can straddle the
-        switch — ``readline`` stops at the newline and the buffered
-        remainder feeds the frame decoder through the same stream)."""
+    @property
+    def bytes_received(self) -> int:
+        return self._codec.bytes_in
 
+    def _chunks(self):
         rfile = self._rfile
-        while True:
-            line = rfile.readline()
-            if not line:
-                return
-            self.bytes_received += len(line)
-            self._handle_line(
-                line.decode("utf-8", errors="replace").strip()
-            )
-            if self._switch_to_frames:
-                self._read_frames()
-                return
-
-    def _handle_line(self, text: str) -> None:
-        if not text:
+        if not self._rbinary:
+            for line in rfile:
+                yield line.encode("utf-8")
             return
-        try:
-            env = json.loads(text)
-        except ValueError:
-            return
-        if not isinstance(env, dict):
-            return
-        if "event" in env:
-            self._handle_event(env)
-        else:
-            self._handle_reply(env)
-
-    def _read_frames(self) -> None:
-        """Binary-frame read loop (after ``frames`` negotiation)."""
-
-        rfile = self._rfile
         read1 = getattr(rfile, "read1", rfile.read)
-        decoder = protocol.FrameDecoder(MAX_REPLY_FRAME_BYTES)
         while True:
-            try:
-                batch = decoder.next_batch()
-            except protocol.ProtocolError:
-                # A frame the client cannot decode (a server bug or a
-                # corrupted stream); skip it — the affected request
-                # times out rather than poisoning the connection.
-                continue
-            if batch is not None:
-                if len(batch) > 1:
-                    self._handle_batch(batch)
-                else:
-                    env = batch[0]
+            data = read1(65536)
+            if not data:
+                return
+            yield data
+
+    def _read_loop(self) -> None:
+        why = "connection closed"
+        codec = self._codec
+        try:
+            for data in self._chunks():
+                codec.feed(data)
+                while True:
+                    try:
+                        env = codec.next()
+                    except protocol.ProtocolError as exc:
+                        if exc.fatal:
+                            why = f"connection closed: {exc}"
+                            return
+                        # A line or frame the client cannot decode: skip
+                        # it — the affected request times out rather
+                        # than poisoning the connection.
+                        continue
+                    if env is None:
+                        break
                     if "event" in env:
                         self._handle_event(env)
                     else:
                         self._handle_reply(env)
-                continue
-            data = read1(65536)
-            if not data:
-                return
-            self.bytes_received += len(data)
-            decoder.feed(data)
-
-    def _handle_batch(self, envs: list) -> None:
-        """A multi-record frame: delivered whole to the owning request's
-        ``on_batch`` sink when one is registered (the fleet router uses
-        this to relay a coalesced burst as one frame), otherwise fanned
-        out envelope by envelope — indistinguishable from uncoalesced
-        delivery."""
-
-        rid = envs[0].get("id")
-        if rid is not None and all(
-            "event" in e and e.get("id") == rid for e in envs
-        ):
-            with self._pending_lock:
-                sink = self._batch_sinks.get(rid)
-            if sink is not None:
-                try:
-                    sink(
-                        [
-                            ServerEvent(
-                                kind=e.get("event", ""),
-                                data=e.get("data") or {},
-                                seq=e.get("seq"),
-                                request_id=rid,
-                            )
-                            for e in envs
-                        ]
-                    )
-                except Exception:  # noqa: BLE001 — sink bug ≠ reader death
-                    pass
-                return
-        for env in envs:
-            if "event" in env:
-                self._handle_event(env)
-            else:
-                self._handle_reply(env)
+        except (OSError, ValueError):
+            pass  # stream torn down under the reader
+        finally:
+            self._fail_pending(why)
 
     def _handle_event(self, env: Dict) -> None:
         ev = ServerEvent(
@@ -446,19 +373,9 @@ class PedClient:
 
     def _handle_reply(self, reply: Dict) -> None:
         rid = reply.get("id")
-        if (
-            rid is not None
-            and rid == self._frames_rid
-            and reply.get("ok")
-            and (reply.get("result") or {}).get("frames") == "binary"
-        ):
-            # Reader side of the negotiation: this reply is the last
-            # JSON line; everything after it arrives framed.
-            self._switch_to_frames = True
         with self._pending_lock:
             future = self._pending.pop(rid, None)
             op = self._ops.pop(rid, None)
-            self._batch_sinks.pop(rid, None)
             had_sink = self._event_sinks.pop(rid, None) is not None
             if had_sink:
                 # Only streaming requests read the terminal seq back;
@@ -478,7 +395,6 @@ class PedClient:
             pending, self._pending = dict(self._pending), {}
             self._ops.clear()
             self._event_sinks.clear()
-            self._batch_sinks.clear()
         for future in pending.values():
             if not future.done():
                 future.set_exception(PedRequestError("connection", why))
@@ -493,23 +409,19 @@ class PedClient:
         *,
         stream: bool = False,
         on_event: Optional[Callable[[ServerEvent], None]] = None,
-        on_batch: Optional[Callable[[list], None]] = None,
         **params,
     ) -> "PendingReply":
         """Send one request; returns a handle resolving to its result.
 
-        ``stream=True`` (implied by ``on_event``/``on_batch``) opts the
-        request into server-push events; ``on_event`` receives each
-        :class:`ServerEvent` on the reader thread.  ``on_batch``, when
-        given, receives a coalesced multi-record frame's events as one
-        list instead of event-by-event (uncoalesced events still go to
-        ``on_event``) — relays use it to forward a burst as a burst.
+        ``stream=True`` (implied by ``on_event``) opts the request into
+        server-push events; ``on_event`` receives each
+        :class:`ServerEvent` on the reader thread.
         """
 
         rid = params.pop("id", None)
         if rid is None:
             rid = next(self._ids)
-        if on_event is not None or on_batch is not None:
+        if on_event is not None:
             stream = True
         req = {"id": rid, "op": op, **params}
         if stream:
@@ -520,8 +432,6 @@ class PedClient:
             self._ops[rid] = op
             if on_event is not None:
                 self._event_sinks[rid] = on_event
-            if on_batch is not None:
-                self._batch_sinks[rid] = on_batch
         try:
             with self._write_lock:
                 self._write_envelope(req)
@@ -530,27 +440,14 @@ class PedClient:
                 self._pending.pop(rid, None)
                 self._ops.pop(rid, None)
                 self._event_sinks.pop(rid, None)
-                self._batch_sinks.pop(rid, None)
             raise ServerUnavailableError(f"send failed: {exc}")
         return PendingReply(self, rid, future)
 
     def _write_envelope(self, req: Dict) -> None:
         """Send one request under the held write lock."""
 
-        if self._encoder is not None:
-            data = self._encoder.encode(req)
-            self._wfile.write(data)
-            self._wfile.flush()
-            self.bytes_sent += len(data)
-            return
-        line = json.dumps(req) + "\n"
-        if self._wbinary:
-            data = line.encode("utf-8")
-            self._wfile.write(data)
-            self.bytes_sent += len(data)
-        else:
-            self._wfile.write(line)
-            self.bytes_sent += len(line)
+        data = self._codec.encode(req)
+        self._wfile.write(data if self._wbinary else data.decode("utf-8"))
         self._wfile.flush()
 
     def request(self, op: str, *, wait: Optional[float] = 30.0, **params):
@@ -559,75 +456,58 @@ class PedClient:
         return self.submit(op, **params).result(wait)
 
     def negotiate_frames(self, wait: Optional[float] = 30.0) -> bool:
-        """Upgrade the connection to v5 binary frames; True on success.
+        """Move the connection onto plain frames; True on success.
 
         Returns False — and the connection stays on JSON lines, fully
-        usable — when the transport is text-level, the server predates
-        v5 (``unknown-op``) or refuses (``bad-request``).  The write
-        lock is held across the exchange: the negotiation request must
-        be the last JSON this side sends, so concurrent submitters
-        block for one round trip and then come out framed.
+        usable — when the transport is text-level or the server refuses
+        (``bad-request`` from a server that predates this rung's mode,
+        ``unknown-op`` from one older still).
         """
 
-        if self._encoder is not None:
+        return self._negotiate(protocol.FRAMES_OP, protocol.FRAMES, wait)
+
+    def negotiate_compression(self, wait: Optional[float] = 30.0) -> bool:
+        """Climb to one deflate stream per direction; True on success.
+
+        Negotiates frames first when needed — the ladder is strictly
+        ``frames`` → ``compress``.  Returns False (connection fully
+        usable at whatever rung it reached) when the transport is
+        text-level or the server refuses.
+        """
+
+        return self.negotiate_frames(wait) and self._negotiate(
+            protocol.COMPRESS_OP, protocol.COMPRESS, wait
+        )
+
+    def _negotiate(self, op: str, rung: str, wait: Optional[float]) -> bool:
+        """One rung.  The write lock is held across the exchange: the
+        request must be the last envelope this side sends on the old
+        rung, so concurrent submitters block for one round trip and then
+        come out on the new one."""
+
+        if self._codec.reached(rung):
             return True
-        if not (self._rbinary and self._wbinary):
+        if not self._codec.binary:
             return False
         rid = next(self._ids)
         future: Future = Future()
         with self._pending_lock:
             self._pending[rid] = future
-            self._ops[rid] = protocol.FRAMES_OP
-            self._frames_rid = rid
-        req = {"id": rid, "op": protocol.FRAMES_OP, "mode": "binary"}
+            self._ops[rid] = op
         with self._write_lock:
             try:
-                self._write_envelope(req)
+                self._write_envelope(self._codec.ask(op, rid))
             except (BrokenPipeError, ValueError, OSError) as exc:
                 with self._pending_lock:
                     self._pending.pop(rid, None)
                     self._ops.pop(rid, None)
                 raise ServerUnavailableError(f"send failed: {exc}")
             try:
-                result = future.result(wait)
+                future.result(wait)
             except PedRequestError:
-                self._frames_rid = None
                 return False
-            if (result or {}).get("frames") == "binary":
-                self._encoder = protocol.FrameEncoder()
-                return True
-            self._frames_rid = None
-            return False
-
-    def negotiate_compression(self, wait: Optional[float] = 30.0) -> bool:
-        """Climb to v6 adaptive compression; True on success.
-
-        Negotiates binary frames first when needed — the ladder is
-        strictly ``frames`` → ``compress``.  Returns False (connection
-        fully usable at whatever rung it reached) when the transport is
-        text-level or the server predates v6 (``unknown-op``) or
-        refuses (``bad-request``).  On success the server compresses
-        and coalesces its side, and this client's requests compress
-        adaptively too.
-        """
-
-        if self._compress:
-            return True
-        if not self.negotiate_frames(wait):
-            return False
-        try:
-            result = self.request(
-                protocol.COMPRESS_OP, wait=wait, mode="zlib"
-            )
-        except PedRequestError:
-            return False
-        if (result or {}).get("compress") == "zlib":
-            with self._write_lock:
-                if self._encoder is not None:
-                    self._encoder.compress = True
-                    self._compress = True
-            return self._compress
-        return False
+            # The reader switched the codec before resolving the future.
+            return self._codec.reached(rung)
 
     def stream(
         self, op: str, *, wait: Optional[float] = 60.0, **params

@@ -27,15 +27,14 @@ shared memo and get one flat ``{key: number}`` dict:
   connected right now, the high-water mark, and how long this server
   process has been up), read from the server when one is attached.
 * ``net.bytes_in`` / ``net.bytes_out`` — wire bytes both transports
-  actually read and wrote (JSON lines and binary frames alike).
-  ``net.bytes_out_raw`` is what the same traffic would have cost
-  uncompressed, so ``net.compress_ratio = bytes_out / bytes_out_raw``
-  (1.0 when nothing was written, lower is better).
-  ``net.frames_compressed`` / ``net.coalesced_events`` /
-  ``net.flushes`` count v6 compressed frames shipped, progress events
-  folded into multi-record frames, and writer flushes.  Transport
-  counters are server-scoped, so a session-bound ``metrics`` request
-  overlays them from the server stats rather than the engine's.
+  actually read and wrote, on every rung.  ``net.bytes_out_raw`` is
+  what the same traffic would have cost uncompressed, so
+  ``net.compress_ratio = bytes_out / bytes_out_raw`` (1.0 when nothing
+  was written, lower is better).  ``net.flushes`` counts socket writes:
+  one per envelope on the threaded server, one per burst on the asyncio
+  transport.  Transport counters are server-scoped, so a session-bound
+  ``metrics`` request overlays them from the server stats rather than
+  the engine's.
 * ``split.calls`` / ``split.reused`` — unit splits the engine ran
   (one per analysis) and split results it served again from its last
   two splits (an edit's undo snapshot and invalidation diff).  Both are
@@ -81,8 +80,6 @@ STABLE_KEYS = (
     "net.bytes_in",
     "net.bytes_out",
     "net.bytes_out_raw",
-    "net.frames_compressed",
-    "net.coalesced_events",
     "net.flushes",
     "journal.records",
     "journal.bytes",

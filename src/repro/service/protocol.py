@@ -1,11 +1,10 @@
-"""The Ped wire protocol: framing, envelopes, sequence ids.
+"""The Ped wire protocol: envelopes, sequence ids and the wire codec.
 
 Transport-agnostic half of the session server.  Everything that crosses
-a connection is an *envelope* — a JSON object — carried either as one
-JSON line (the default framing every peer speaks) or, after per-
-connection negotiation, inside length-prefixed binary frames with
-delta-encoded repeats (see *Binary frames* below).  An envelope is one
-of three shapes:
+a connection is an *envelope* — a JSON object — carried on one of three
+*rungs*: JSON lines (the default every peer speaks), length-prefixed
+frames, or those frames inside one deflate stream per direction (see
+*Wire rungs* below).  An envelope is one of three shapes:
 
 * **Request** (client → server)::
 
@@ -59,66 +58,32 @@ JSON scalars — over the wire; :func:`encode_memo_entries` /
 pulled entry pushed to a sibling shard round-trips to the exact key the
 memo indexes on.
 
-**Binary frames (v5).**  A connection starts in JSON-lines.  A client
-may send ``{"op": "frames", "mode": "binary"}``; a v5 transport answers
-it *inline* (a JSON-line ``ok`` reply carrying ``{"frames": "binary"}``)
-and both directions switch to binary framing immediately after — the
-request's bytes are the last JSON the server reads, the reply's the last
-JSON the client reads.  An older server routes the unknown op to its
-handler table and answers ``unknown-op``; the client stays on JSON-lines
-(:class:`~repro.service.client.PedClient` does this fallback
-automatically), so JSON-only peers interoperate unchanged.
+**Wire rungs (v8).**  A connection starts on JSON lines.  A client may
+climb two rungs, each negotiated by an inline request that the
+transport answers itself (it never reaches the session host):
 
-One frame is a 4-byte big-endian payload length followed by the
-payload; the payload's first byte is the frame *kind*:
+* ``{"op": "frames", "mode": "plain"}`` — every envelope becomes one
+  *frame*: a 4-byte big-endian length, one kind byte (always ``0``),
+  then the envelope's JSON bytes; the length counts the kind byte and
+  the JSON.  There is no other frame kind and no cross-frame state.
+* ``{"op": "compress", "mode": "deflate"}`` — valid only once frames
+  are on.  The same frame bytes then run through one raw-deflate stream
+  per direction of the connection, with one ``Z_SYNC_FLUSH`` per socket
+  write, so every write is decodable on arrival and each envelope
+  compresses against everything the connection carried before it (the
+  design of WebSocket permessage-deflate with context takeover,
+  RFC 7692).
 
-* ``0`` **raw** — the envelope's JSON bytes follow; no delta state.
-* ``1`` **baseline** — ``u16`` key length, the UTF-8 *delta key*, then
-  the envelope's JSON bytes.  Installs the body as the key's baseline.
-* ``2`` **delta** — key as above, then the ``crc32`` (u32) of the new
-  body, then copy/insert ops replaying it from the key's baseline:
-  ``0x01 off:u32 len:u32`` copies from the baseline, ``0x02 len:u32
-  bytes`` inserts literals.  The reconstructed body (checksum-verified)
-  becomes the key's new baseline.
+The ok reply (``{"frames": "plain"}`` / ``{"compress": "deflate"}``)
+is the last envelope the server writes on the old rung, and the
+request the last one the client writes on it, so both directions switch
+at a known byte.  A peer that does not know the op or the mode — a v7
+server says ``bad-request`` to these mode strings, an older one
+``unknown-op`` — answers with an error and both sides stay where they
+were.
 
-Delta keys name an evolving stream: pane updates and progress events
-key on ``(event kind, request id)``, requests on ``(op, session)``, and
-replies on the originating request's ``(op, session)`` — successive
-editor pane refreshes differ by a few lines of JSON, so frames carry
-the edit, not the pane.  The key travels in the frame, so either side
-may choose keys freely; :class:`FrameEncoder` falls back to a baseline
-frame whenever the delta would not pay for itself, and to raw frames
-for unkeyed envelopes.  :class:`FrameDecoder` raises
-:class:`ProtocolError` on oversized, malformed, unknown-key or
-checksum-failing frames; a frame truncated by disconnect simply never
-completes.
-
-**Compression + coalescing (v6).**  Two more frame kinds ride the same
-length-prefixed stream, produced only after a second negotiation rung —
-``{"op": "compress", "mode": "zlib"}``, answered inline like ``frames``
-(and refused with ``bad-request`` until frames are negotiated, so the
-ladder is strictly ``frames`` → ``compress``):
-
-* ``3`` **compressed** — ``u16`` dictionary-key length, the key's UTF-8
-  bytes (empty = no dictionary), then a zlib stream inflating to one
-  complete payload of kind 0, 1 or 2 (or 4; never another 3).  The
-  dictionary named by a non-empty key is the key's *current baseline on
-  the receiving side* — the encoder compresses against the baseline it
-  just replaced, which by construction is exactly what the decoder
-  still holds, so no dictionary bytes ever cross the wire.
-* ``4`` **multi** — repeated ``u32`` length + payload records, each of
-  kind 0–2, decoded in order as if they were separate frames.  Bursts
-  of ``analysis.progress`` / ``corpus.program`` events coalesce into
-  one multi frame: mostly one repeated JSON shape, so wrapping the
-  block in a kind-3 frame squeezes it far below per-record deltas.
-
-Compression is *adaptive* per frame: payloads under
-:data:`COMPRESS_MIN_BYTES`, and payloads whose trial compression fails
-to beat :data:`COMPRESS_MAX_RATIO` × the plain encoding, ship in their
-v5 form — the kind byte tells the decoder which it got, so the decoder
-accepts all five kinds at any time and only the *encoder* is gated on
-negotiation.  JSON-only and v5 peers are untouched: they never send
-``compress``, so they never see a kind-3/4 frame.
+:class:`WireCodec` is the whole of it, I/O-free: one per connection
+end, used by the threaded server, the asyncio transport and the client.
 """
 
 from __future__ import annotations
@@ -127,8 +92,6 @@ import json
 import struct
 import threading
 import zlib
-from collections import deque
-from difflib import SequenceMatcher
 from typing import Dict, List, Optional
 
 #: Protocol/feature revision, echoed by ``ping``.  v2: streaming events,
@@ -139,19 +102,18 @@ from typing import Dict, List, Optional
 #: per-program ``analysis.progress`` events.  v4: fleet serving —
 #: ``corpus.results``, memo gossip ops (``memo.pull``, ``memo.push``),
 #: ``server.connections.*``/``server.uptime_s`` gauges in ``metrics``
-#: and the ``shard-lost`` error type.  v5: the ``frames`` negotiation op
-#: and the length-prefixed binary framing with delta-encoded repeats.
-#: v6: the ``compress`` negotiation op, adaptive per-frame zlib
-#: compression with baseline-seeded dictionaries (frame kind 3) and
-#: multi-record event coalescing (frame kind 4).  v7: event-sourced
+#: and the ``shard-lost`` error type.  v5 and v6: delta frames, then
+#: dictionary-seeded compression with event coalescing.  v7: event-sourced
 #: sessions — ``session.log`` (paged journal read), ``session.replay``
 #: (rebuild the session at record N with streamed ``journal.replay``
 #: progress) and ``session.restore`` (resurrect a killed server's
 #: session from its persisted journal), plus the ``journal.*`` counters
-#: in ``metrics``.  The envelope grammar itself is unchanged since v2,
-#: so v3 clients interoperate with v7 servers (binary framing,
-#: compression and journal ops are strictly opt-in).
-PROTOCOL_VERSION = 7
+#: in ``metrics``.  v8: the v5/v6 wire layers give way to plain frames
+#: and one deflate stream per direction (``frames`` mode ``plain``,
+#: ``compress`` mode ``deflate``).  The envelope grammar itself is
+#: unchanged since v2, so v3 clients interoperate with v8 servers (the
+#: wire rungs and journal ops are strictly opt-in).
+PROTOCOL_VERSION = 8
 
 #: Default cap on one request line; oversized requests get a structured
 #: ``payload-too-large`` error instead of an ad-hoc disconnect.
@@ -174,19 +136,13 @@ INTERNAL = "internal"
 EV_PROGRESS = "analysis.progress"
 EV_INVALIDATION = "invalidation"
 
-#: Transport-internal pseudo-event: a host that already holds a burst
-#: of events (the fleet router relaying a coalesced frame from a shard)
-#: hands the whole burst to the transport in one ``emit`` call as
-#: ``event_envelope(rid, EV_BATCH, {"events": [{"kind": …, "data": …},
-#: …]})``.  Transports expand it at write time — one multi-record frame
-#: when the peer negotiated compression, individual envelopes otherwise
-#: — so the batch shape itself never reaches a client.
-EV_BATCH = "events.batch"
-
 
 class ProtocolError(Exception):
     """A framing-level error with a structured ``type`` and, when it
-    could be recovered from the offending line, the request ``id``."""
+    could be recovered from the offending line, the request ``id``.
+    ``fatal`` marks an error after which the stream cannot be read on."""
+
+    fatal = False
 
     def __init__(self, etype: str, message: str, request_id=None) -> None:
         super().__init__(message)
@@ -297,542 +253,284 @@ def is_reply(envelope: Dict) -> bool:
     return "ok" in envelope and "event" not in envelope
 
 
-def expand_event_batch(envelope: Dict) -> Optional[List[Dict]]:
-    """The per-event envelopes of one :data:`EV_BATCH` envelope, or
-    ``None`` when ``envelope`` is not a batch.  Transports call this at
-    write time; the order of the records is the wire order."""
-
-    if envelope.get("event") != EV_BATCH:
-        return None
-    rid = envelope.get("id")
-    out: List[Dict] = []
-    for rec in (envelope.get("data") or {}).get("events") or []:
-        if isinstance(rec, dict):
-            out.append(
-                event_envelope(rid, rec.get("kind") or "", rec.get("data"))
-            )
-    return out
-
-
 # ----------------------------------------------------------------------
-# binary frames: length-prefixed envelopes with delta-encoded repeats
+# the wire codec: JSON lines, frames, one deflate stream per direction
 # ----------------------------------------------------------------------
 
-#: The negotiation op a transport answers inline (never routed to the
-#: session host) to switch a connection's framing.
+#: The negotiation ops a transport answers inline, and the one mode
+#: string each accepts.
 FRAMES_OP = "frames"
-
-#: The second negotiation rung: adaptive zlib compression + event
-#: coalescing, valid only after ``frames`` (also answered inline).
 COMPRESS_OP = "compress"
+FRAMES_MODE = "plain"
+COMPRESS_MODE = "deflate"
 
-FRAME_RAW = 0
-FRAME_BASELINE = 1
-FRAME_DELTA = 2
-FRAME_COMPRESSED = 3
-FRAME_MULTI = 4
+#: The three rungs, in climbing order.
+JSON, FRAMES, COMPRESS = "json", "frames", "compress"
+_RANK = {JSON: 0, FRAMES: 1, COMPRESS: 2}
+_RUNG_OF = {
+    FRAMES_OP: (FRAMES_MODE, FRAMES),
+    COMPRESS_OP: (COMPRESS_MODE, COMPRESS),
+}
 
-#: Payloads under this size never trial-compress — zlib's stream header
-#: plus the dictionary adler32 eat any win on tiny frames.
-COMPRESS_MIN_BYTES = 192
-#: A trial compression must reach this fraction of the plain encoding
-#: or the frame ships in its v5 form.
-COMPRESS_MAX_RATIO = 0.9
-#: zlib level for wire compression (6 = zlib's own default trade-off).
+#: zlib level of the per-connection deflate stream (6: zlib's default).
 COMPRESS_LEVEL = 6
 
-#: Event-coalescing knobs shared by both transports: a buffered burst
-#: flushes when it reaches COALESCE_MAX events, when any non-coalescible
-#: envelope (a reply, a broadcast) must go out behind it, or when the
-#: flush window expires — progress events trade at most this much
-#: latency for riding a shared frame, and only on connections that
-#: negotiated compression.
-COALESCE_MAX = 32
-COALESCE_WINDOW = 0.005
+#: The only frame kind: the envelope's JSON follows the kind byte.
+FRAME_JSON = 0
 
-_OP_COPY = 1
-_OP_INSERT = 2
+#: Slack past the size cap still buffered on JSON lines, so a line a
+#: little over the limit arrives whole and its error keeps the id; a
+#: longer one is answered at once and discarded as it streams in.
+LINE_SLACK = 64 * 1024
 
-#: Bodies past this size skip the SequenceMatcher middle-diff (the
-#: prefix/suffix trim still applies) — delta encoding stays O(pane),
-#: never O(corpus payload).
-_DELTA_DIFF_CAP = 256 * 1024
-
-_U32 = struct.Struct(">I")
-_U16 = struct.Struct(">H")
+_HEAD = struct.Struct(">IB")
 
 
-def delta_key(envelope: Dict) -> Optional[str]:
-    """The default delta-stream key of one envelope, or None for raw.
+class WireCodec:
+    """One end of one connection: rung, ``seq`` stamps, encoding,
+    decoding and ``net.*`` accounting, with no I/O of its own.
 
-    Events key on (kind, owning request id): every ``analysis.progress``
-    of one streamed request deltas against its predecessor.  Requests
-    key on (op, session): an editor resubmitting a whole source after
-    each keystroke sends the keystroke.  Replies carry nothing stable —
-    transports that know the originating request pass an explicit key to
-    :meth:`FrameEncoder.encode` instead (pane refreshes of one session
-    delta beautifully).
+    The caller serializes :meth:`encode` calls and writes each result as
+    one socket write, in call order; it feeds received bytes to
+    :meth:`feed` and pulls envelopes with :meth:`next`.  A server codec
+    (``client=False``) stamps ``seq`` on every envelope it encodes and
+    answers negotiation requests through :meth:`negotiate`; a client
+    codec builds them with :meth:`ask` and switches when :meth:`next`
+    reads the ok reply.  ``binary=False`` marks a text-only transport,
+    which stays on JSON lines.
+
+    Bytes fed and written are counted in :attr:`bytes_in` and
+    :attr:`bytes_out`.  When ``stats`` is given, they are bumped into
+    its ``net.bytes_in`` / ``net.bytes_out`` counters too, with
+    ``net.bytes_out_raw`` (what the written traffic would have cost
+    uncompressed) and ``net.flushes`` (one per :meth:`encode`).
     """
 
-    if "event" in envelope:
-        kind = envelope.get("event")
-        if kind:
-            return "e\x00%s\x00%r" % (kind, envelope.get("id"))
-        return None
-    op = envelope.get("op")
-    if op and envelope.get("session") is not None:
-        return "q\x00%s\x00%r" % (op, envelope.get("session"))
-    return None
-
-
-def reply_delta_key(req: Dict) -> Optional[str]:
-    """The delta key a transport should use for ``req``'s reply."""
-
-    op = req.get("op")
-    if op and req.get("session") is not None:
-        return "p\x00%s\x00%r" % (op, req.get("session"))
-    return None
-
-
-def _delta_ops(old: bytes, new: bytes) -> Optional[bytes]:
-    """Copy/insert ops rebuilding ``new`` from ``old``, or None when a
-    baseline frame would be no larger than the delta."""
-
-    # Prefix/suffix trim: JSON envelopes of one stream differ in a
-    # narrow middle (a few pane rows, one progress counter).
-    lo = 0
-    n_old, n_new = len(old), len(new)
-    cap = min(n_old, n_new)
-    while lo < cap and old[lo] == new[lo]:
-        lo += 1
-    hi = 0
-    while hi < cap - lo and old[n_old - 1 - hi] == new[n_new - 1 - hi]:
-        hi += 1
-    mid_old = old[lo : n_old - hi]
-    mid_new = new[lo : n_new - hi]
-    ops: List[bytes] = []
-    if lo:
-        ops.append(struct.pack(">BII", _OP_COPY, 0, lo))
-    if mid_new:
-        if mid_old and len(mid_old) + len(mid_new) <= _DELTA_DIFF_CAP:
-            sm = SequenceMatcher(None, mid_old, mid_new, autojunk=False)
-            for tag, i1, i2, j1, j2 in sm.get_opcodes():
-                if tag == "equal":
-                    ops.append(
-                        struct.pack(">BII", _OP_COPY, lo + i1, i2 - i1)
-                    )
-                elif j2 > j1:
-                    ops.append(
-                        struct.pack(">BI", _OP_INSERT, j2 - j1)
-                        + mid_new[j1:j2]
-                    )
-        else:
-            ops.append(
-                struct.pack(">BI", _OP_INSERT, len(mid_new)) + mid_new
-            )
-    if hi:
-        ops.append(struct.pack(">BII", _OP_COPY, n_old - hi, hi))
-    blob = b"".join(ops)
-    # 4 bytes of crc ride every delta frame; beyond that the framing
-    # overhead is identical, so this is the exact break-even test.
-    if len(blob) + 4 >= n_new:
-        return None
-    return blob
-
-
-def _apply_delta(baseline: bytes, blob: bytes) -> bytes:
-    parts: List[bytes] = []
-    pos = 0
-    end = len(blob)
-    n_base = len(baseline)
-    while pos < end:
-        op = blob[pos]
-        if op == _OP_COPY:
-            if pos + 9 > end:
-                raise ProtocolError(BAD_REQUEST, "truncated delta copy op")
-            off, length = struct.unpack_from(">II", blob, pos + 1)
-            if off + length > n_base:
-                raise ProtocolError(
-                    BAD_REQUEST, "delta copy outside baseline"
-                )
-            parts.append(baseline[off : off + length])
-            pos += 9
-        elif op == _OP_INSERT:
-            if pos + 5 > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated delta insert op"
-                )
-            (length,) = struct.unpack_from(">I", blob, pos + 1)
-            pos += 5
-            if pos + length > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated delta insert bytes"
-                )
-            parts.append(blob[pos : pos + length])
-            pos += length
-        else:
-            raise ProtocolError(BAD_REQUEST, f"unknown delta op {op}")
-    return b"".join(parts)
-
-
-class FrameEncoder:
-    """Envelope → one binary frame, tracking per-key delta baselines.
-
-    Single direction of one connection; serialize calls externally (the
-    transports already write under a lock / from one writer task).
-
-    Setting :attr:`compress` (after the ``compress`` negotiation)
-    enables the adaptive v6 path: payloads at least
-    :data:`COMPRESS_MIN_BYTES` long are trial-compressed — the *full
-    body* in baseline form, zlib-dictionary-seeded from the key's
-    previous baseline, so zlib's back-references subsume the copy/insert
-    delta and entropy-code the rest — and ship compressed only when the
-    result beats :data:`COMPRESS_MAX_RATIO` × the plain v5 encoding.
-    ``bytes_raw`` / ``bytes_wire`` count what the plain encoding would
-    have cost vs what actually shipped (length prefixes included).
-    """
-
-    def __init__(self) -> None:
-        self._baselines: Dict[str, bytes] = {}
-        #: Flipped by the transport when ``compress`` is negotiated.
-        self.compress = False
-        self.bytes_raw = 0
-        self.bytes_wire = 0
-        self.frames = 0
-        self.frames_compressed = 0
-        self.coalesced_events = 0
-
-    # -- payload assembly ----------------------------------------------
-
-    def _body(self, envelope: Dict, key: Optional[str]):
-        """Serialize; update the key's baseline.  → (body, kb, old)."""
-
-        body = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        if key is None:
-            key = delta_key(envelope)
-        if key is None:
-            return body, None, None
-        kb = key.encode("utf-8")
-        old = self._baselines.get(key)
-        self._baselines[key] = body
-        return body, kb, old
-
-    @staticmethod
-    def _plain_payload(
-        body: bytes, kb: Optional[bytes], old: Optional[bytes]
-    ) -> bytes:
-        """The v5 payload (kind 0/1/2) for one serialized envelope."""
-
-        if kb is None:
-            return b"\x00" + body
-        if old is not None:
-            blob = _delta_ops(old, body)
-            if blob is not None:
-                return (
-                    b"\x02"
-                    + _U16.pack(len(kb))
-                    + kb
-                    + _U32.pack(zlib.crc32(body))
-                    + blob
-                )
-        return b"\x01" + _U16.pack(len(kb)) + kb + body
-
-    @staticmethod
-    def _baseline_payload(body: bytes, kb: Optional[bytes]) -> bytes:
-        """The no-delta payload (kind 0/1) — what compression wraps."""
-
-        if kb is None:
-            return b"\x00" + body
-        return b"\x01" + _U16.pack(len(kb)) + kb + body
-
-    @staticmethod
-    def _deflate(payload: bytes, zdict: Optional[bytes]) -> bytes:
-        if zdict:
-            co = zlib.compressobj(COMPRESS_LEVEL, zdict=zdict)
-        else:
-            co = zlib.compressobj(COMPRESS_LEVEL)
-        return co.compress(payload) + co.flush()
-
-    def _wrap(
+    def __init__(
         self,
-        inner: bytes,
-        dict_kb: Optional[bytes],
-        zdict: Optional[bytes],
-        plain_len: int,
-    ) -> Optional[bytes]:
-        """Trial-compress ``inner``; None when plain should ship."""
+        max_frame_bytes: int = MAX_REQUEST_BYTES,
+        *,
+        stats=None,
+        binary: bool = True,
+        client: bool = False,
+    ) -> None:
+        self.max_frame_bytes = max_frame_bytes
+        self.stats = stats
+        self.binary = binary
+        self.client = client
+        #: Outbound rung; the inbound one switches at its own byte.
+        self.mode = JSON
+        self._in = JSON
+        self._seq = Sequencer()
+        #: Server: (reply, rung) pairs — the outbound rung switches
+        #: right after that reply is encoded.
+        self._switches: List = []
+        #: Client: (id, op, mode) of the negotiation in flight.
+        self._asked = None
+        self._deflater = None
+        self._inflater = None
+        #: Received bytes on JSON lines and frames; inflated bytes once
+        #: compressed, with the compressed input left in ``_ztail``.
+        self._buf = bytearray()
+        self._ztail = b""
+        self._scan = 0
+        self._discarding = False
+        self._skip = 0
+        self._broken = False
+        self.bytes_in = 0
+        self.bytes_out = 0
 
-        if dict_kb is None or zdict is None:
-            dict_kb, zdict = b"", None
-        blob = self._deflate(inner, zdict)
-        wrapped = b"\x03" + _U16.pack(len(dict_kb)) + dict_kb + blob
-        if len(wrapped) <= COMPRESS_MAX_RATIO * plain_len:
-            return wrapped
-        return None
+    def reached(self, rung: str) -> bool:
+        return _RANK[self.mode] >= _RANK[rung]
 
-    def _ship(self, plain: bytes, wrapped: Optional[bytes]) -> bytes:
-        self.frames += 1
-        self.bytes_raw += 4 + len(plain)
-        payload = plain if wrapped is None else wrapped
-        if wrapped is not None:
-            self.frames_compressed += 1
-        self.bytes_wire += 4 + len(payload)
-        return _U32.pack(len(payload)) + payload
+    # -- outbound ------------------------------------------------------
 
-    # -- public entry points -------------------------------------------
+    def encode(self, *envelopes: Dict) -> bytes:
+        """Envelopes → the bytes of one socket write (one sync flush)."""
 
-    def encode(self, envelope: Dict, key: Optional[str] = None) -> bytes:
-        body, kb, old = self._body(envelope, key)
-        plain = self._plain_payload(body, kb, old)
-        wrapped = None
-        if self.compress and len(plain) >= COMPRESS_MIN_BYTES:
-            wrapped = self._wrap(
-                self._baseline_payload(body, kb), kb, old, len(plain)
+        out = []
+        raw = 0
+        deflated = False
+        for env in envelopes:
+            if not self.client:
+                env["seq"] = self._seq.next()
+            body = json.dumps(env, sort_keys=True).encode("utf-8")
+            if self.mode == JSON:
+                data = body + b"\n"
+            else:
+                data = _HEAD.pack(len(body) + 1, FRAME_JSON) + body
+            raw += len(data)
+            if self.mode == COMPRESS:
+                out.append(self._deflater.compress(data))
+                deflated = True
+            else:
+                out.append(data)
+            if self._switches and env is self._switches[0][0]:
+                self._set_out(self._switches.pop(0)[1])
+        if deflated:
+            out.append(self._deflater.flush(zlib.Z_SYNC_FLUSH))
+        data = b"".join(out)
+        self.bytes_out += len(data)
+        if self.stats is not None:
+            self.stats.bump("net.bytes_out", len(data))
+            self.stats.bump("net.bytes_out_raw", raw)
+            self.stats.bump("net.flushes")
+        return data
+
+    def _set_out(self, rung: str) -> None:
+        if rung == COMPRESS:
+            self._deflater = zlib.compressobj(
+                COMPRESS_LEVEL, zlib.DEFLATED, -zlib.MAX_WBITS
             )
-        return self._ship(plain, wrapped)
+        self.mode = rung
 
-    def encode_multi(
-        self,
-        envelopes: List[Dict],
-        keys: Optional[List[Optional[str]]] = None,
-    ) -> bytes:
-        """Several envelopes → one multi-record frame (kind 4).
+    # -- negotiation ---------------------------------------------------
 
-        In compress mode the whole record block is trial-compressed as
-        one unit, dictionary-seeded from the first record whose key had
-        a baseline *before this frame* (a within-frame predecessor is
-        useless — the decoder inflates before it applies any record).
+    def negotiate(self, req: Dict) -> Dict:
+        """Server side: the reply to a ``frames``/``compress`` request.
+
+        On acceptance the inbound rung switches now — the request was
+        the peer's last envelope on the old rung — and the outbound one
+        once the returned reply has been encoded.
         """
 
-        if len(envelopes) == 1:
-            return self.encode(envelopes[0], keys[0] if keys else None)
-        plain_parts = [b"\x04"]
-        flat_parts = [b"\x04"]
-        dict_kb = zdict = None
-        seen = set()
-        for i, envelope in enumerate(envelopes):
-            body, kb, old = self._body(
-                envelope, keys[i] if keys else None
+        rid, op, mode = req.get("id"), req.get("op"), req.get("mode")
+        want, rung = _RUNG_OF[op]
+        if mode != want:
+            return reply_error(
+                rid, BAD_REQUEST, f"unknown {op} mode {mode!r}"
             )
-            sub = self._plain_payload(body, kb, old)
-            plain_parts.append(_U32.pack(len(sub)) + sub)
-            flat = self._baseline_payload(body, kb)
-            flat_parts.append(_U32.pack(len(flat)) + flat)
-            if kb is not None:
-                if dict_kb is None and old is not None and kb not in seen:
-                    dict_kb, zdict = kb, old
-                seen.add(kb)
-        plain = b"".join(plain_parts)
-        wrapped = None
-        if self.compress and len(plain) >= COMPRESS_MIN_BYTES:
-            wrapped = self._wrap(
-                b"".join(flat_parts), dict_kb, zdict, len(plain)
+        if not self.binary:
+            return reply_error(
+                rid, BAD_REQUEST, "transport cannot carry binary frames"
             )
-        self.coalesced_events += len(envelopes)
-        return self._ship(plain, wrapped)
+        if rung == COMPRESS and self._in == JSON:
+            return reply_error(
+                rid,
+                BAD_REQUEST,
+                "compress requires binary frames (negotiate frames first)",
+            )
+        reply = reply_ok(rid, {op: mode})
+        if _RANK[self._in] < _RANK[rung]:
+            self._set_in(rung)
+            self._switches.append((reply, rung))
+        return reply
 
+    def ask(self, op: str, rid) -> Dict:
+        """Client side: the negotiation request for ``op``.  Both
+        directions switch when :meth:`next` reads its ok reply; the
+        caller writes nothing else until then."""
 
-class FrameDecoder:
-    """Incremental frame parser: feed bytes, pull envelopes.
+        self._asked = (rid, op, _RUNG_OF[op][0])
+        return {"id": rid, "op": op, "mode": _RUNG_OF[op][0]}
 
-    ``feed`` only buffers; :meth:`next` yields one envelope, ``None``
-    when the buffer holds no complete frame, or raises
-    :class:`ProtocolError` — after which the decoder has already
-    advanced past (or arranged to skip) the offending frame, so the
-    transport can answer the error and keep reading.  A frame an
-    in-flight disconnect truncates simply never completes.
+    def _answered(self, env: Dict) -> None:
+        rid, op, mode = self._asked
+        if env.get("id") != rid or "event" in env:
+            return
+        self._asked = None
+        rung = _RUNG_OF[op][1]
+        if (
+            env.get("ok")
+            and (env.get("result") or {}).get(op) == mode
+            and _RANK[self._in] < _RANK[rung]
+        ):
+            self._set_in(rung)
+            self._set_out(rung)
 
-    All five kinds decode at any time — negotiation gates only the
-    *encoder* — so a peer that has not asked for compression still
-    decodes a compressed stream correctly.  A multi-record frame yields
-    its first envelope from :meth:`next` and queues the rest;
-    :meth:`next_batch` returns a whole frame's worth at once, which is
-    how the client keeps a coalesced burst together for relaying.
-    """
+    def _set_in(self, rung: str) -> None:
+        if rung == COMPRESS:
+            # Whatever followed the switch point is compressed input.
+            self._inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+            self._ztail = bytes(self._buf)
+            self._buf.clear()
+        self._in = rung
 
-    def __init__(self, max_frame_bytes: int = MAX_REQUEST_BYTES) -> None:
-        self.max_frame_bytes = max_frame_bytes
-        self._buf = bytearray()
-        self._baselines: Dict[str, bytes] = {}
-        self._skip = 0
-        self._ready: "deque[Dict]" = deque()
+    # -- inbound -------------------------------------------------------
 
     def feed(self, data: bytes) -> None:
-        if self._skip:
-            if len(data) <= self._skip:
-                self._skip -= len(data)
-                return
-            data = data[self._skip :]
-            self._skip = 0
-        self._buf += data
-
-    def pending(self) -> int:
-        """Buffered bytes not yet consumed (0 ⇔ clean frame boundary)."""
-
-        return len(self._buf)
+        self.bytes_in += len(data)
+        if self.stats is not None:
+            self.stats.bump("net.bytes_in", len(data))
+        if self._in == COMPRESS:
+            self._ztail = self._ztail + data if self._ztail else data
+        else:
+            self._buf += data
 
     def next(self) -> Optional[Dict]:
-        if self._ready:
-            return self._ready.popleft()
-        buf = self._buf
-        if len(buf) < 4:
+        """The next inbound envelope, ``None`` until one is complete.
+
+        Raises :class:`ProtocolError` for a bad line or frame, which has
+        already been skipped, so the caller answers it and reads on.
+        An error with ``fatal`` set (a corrupt deflate stream, which
+        cannot be resynchronized) means the connection must close.
+        """
+
+        if self._broken:
             return None
-        (length,) = _U32.unpack_from(buf)
-        # Payload = kind byte + frame body; the cap bounds the body so a
-        # maximal JSON-lines request still fits its binary frame.
+        env = self._next_line() if self._in == JSON else self._next_frame()
+        if env is not None and self._asked is not None:
+            self._answered(env)
+        return env
+
+    def _next_line(self) -> Optional[Dict]:
+        buf = self._buf
+        while True:
+            nl = buf.find(b"\n", self._scan)
+            if nl < 0:
+                if self._discarding:
+                    buf.clear()
+                    self._scan = 0
+                elif len(buf) > self.max_frame_bytes + LINE_SLACK:
+                    buf.clear()
+                    self._scan = 0
+                    self._discarding = True
+                    raise ProtocolError(
+                        PAYLOAD_TOO_LARGE,
+                        f"request over the {self.max_frame_bytes}-byte limit",
+                    )
+                else:
+                    self._scan = len(buf)
+                return None
+            line = bytes(buf[:nl])
+            del buf[: nl + 1]
+            self._scan = 0
+            if self._discarding:
+                self._discarding = False
+                continue
+            if line.strip():
+                return parse_request(
+                    line.decode("utf-8", errors="replace"),
+                    self.max_frame_bytes,
+                    size=len(line),
+                )
+
+    def _next_frame(self) -> Optional[Dict]:
+        buf = self._buf
+        if self._skip and not self._drop():
+            return None
+        if not self._fill(4):
+            return None
+        (length,) = struct.unpack_from(">I", buf)
+        # The cap bounds the JSON, so a maximal JSON-lines request
+        # still fits its frame.
         if length > self.max_frame_bytes + 1:
-            have = len(buf) - 4
-            if have >= length:
-                # The whole bad frame is already buffered: drop exactly
-                # it, keeping whatever follows.
-                del buf[: 4 + length]
-                self._skip = 0
-            else:
-                del self._buf[:]
-                self._skip = length - have
+            del buf[:4]
+            self._skip = length
+            self._drop()
             raise ProtocolError(
                 PAYLOAD_TOO_LARGE,
                 f"frame over the {self.max_frame_bytes}-byte limit",
             )
-        if len(buf) < 4 + length:
+        if not self._fill(4 + length):
             return None
-        payload = bytes(buf[4 : 4 + length])
+        kind = buf[4] if length else None
+        body = bytes(buf[5 : 4 + length])
         del buf[: 4 + length]
-        return self._decode(payload)
-
-    def next_batch(self) -> Optional[List[Dict]]:
-        """One frame's envelopes — a list of 1 for plain frames, the
-        whole record list for a multi frame — or ``None``."""
-
-        env = self.next()
-        if env is None:
-            return None
-        batch = [env]
-        while self._ready:
-            batch.append(self._ready.popleft())
-        return batch
-
-    def _decode(self, payload: bytes) -> Dict:
-        if not payload:
-            raise ProtocolError(BAD_REQUEST, "empty frame")
-        if payload[0] == FRAME_COMPRESSED:
-            payload = self._inflate(payload)
-            if not payload:
-                raise ProtocolError(BAD_REQUEST, "empty compressed frame")
-            if payload[0] == FRAME_COMPRESSED:
-                raise ProtocolError(BAD_REQUEST, "nested compressed frame")
-        if payload[0] == FRAME_MULTI:
-            return self._decode_multi(payload)
-        return self._decode_one(payload)
-
-    def _inflate(self, payload: bytes) -> bytes:
-        """Kind-3 payload → the plain payload it wraps."""
-
-        if len(payload) < 3:
-            raise ProtocolError(BAD_REQUEST, "truncated compressed frame")
-        (klen,) = _U16.unpack_from(payload, 1)
-        blob_at = 3 + klen
-        if len(payload) < blob_at:
-            raise ProtocolError(BAD_REQUEST, "truncated compressed frame")
-        zdict = None
-        if klen:
-            key = payload[3:blob_at].decode("utf-8", errors="replace")
-            zdict = self._baselines.get(key)
-            if zdict is None:
-                raise ProtocolError(
-                    BAD_REQUEST,
-                    f"compressed frame names unknown dictionary {key!r}",
-                )
-        do = (
-            zlib.decompressobj(zdict=zdict)
-            if zdict is not None
-            else zlib.decompressobj()
-        )
+        if kind != FRAME_JSON:
+            raise ProtocolError(BAD_REQUEST, f"frame kind {kind} is not 0")
         try:
-            inner = do.decompress(
-                payload[blob_at:], self.max_frame_bytes + 1
-            )
-        except zlib.error as exc:
-            raise ProtocolError(
-                BAD_REQUEST, f"bad compressed frame: {exc}"
-            )
-        if do.unconsumed_tail:
-            raise ProtocolError(
-                PAYLOAD_TOO_LARGE,
-                f"compressed frame inflates over the "
-                f"{self.max_frame_bytes}-byte limit",
-            )
-        if not do.eof:
-            raise ProtocolError(
-                BAD_REQUEST, "truncated compressed frame"
-            )
-        return inner
-
-    def _decode_multi(self, payload: bytes) -> Dict:
-        envs: List[Dict] = []
-        pos, end = 1, len(payload)
-        while pos < end:
-            if pos + 4 > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated multi-frame record"
-                )
-            (length,) = _U32.unpack_from(payload, pos)
-            pos += 4
-            if pos + length > end:
-                raise ProtocolError(
-                    BAD_REQUEST, "truncated multi-frame record"
-                )
-            sub = payload[pos : pos + length]
-            pos += length
-            if sub[:1] and sub[0] in (FRAME_COMPRESSED, FRAME_MULTI):
-                raise ProtocolError(
-                    BAD_REQUEST, "nested multi-frame record"
-                )
-            envs.append(self._decode_one(sub))
-        if not envs:
-            raise ProtocolError(BAD_REQUEST, "empty multi frame")
-        self._ready.extend(envs[1:])
-        return envs[0]
-
-    def _decode_one(self, payload: bytes) -> Dict:
-        if not payload:
-            raise ProtocolError(BAD_REQUEST, "empty frame")
-        kind = payload[0]
-        if kind == FRAME_RAW:
-            return self._json(payload[1:])
-        if kind not in (FRAME_BASELINE, FRAME_DELTA):
-            raise ProtocolError(BAD_REQUEST, f"unknown frame kind {kind}")
-        if len(payload) < 3:
-            raise ProtocolError(BAD_REQUEST, "truncated frame key")
-        (klen,) = _U16.unpack_from(payload, 1)
-        body_at = 3 + klen
-        if len(payload) < body_at:
-            raise ProtocolError(BAD_REQUEST, "truncated frame key")
-        key = payload[3:body_at].decode("utf-8", errors="replace")
-        if kind == FRAME_BASELINE:
-            body = payload[body_at:]
-            self._baselines[key] = body
-            return self._json(body)
-        if len(payload) < body_at + 4:
-            raise ProtocolError(BAD_REQUEST, "truncated delta checksum")
-        baseline = self._baselines.get(key)
-        if baseline is None:
-            raise ProtocolError(
-                BAD_REQUEST, f"delta against unknown key {key!r}"
-            )
-        (crc,) = _U32.unpack_from(payload, body_at)
-        body = _apply_delta(baseline, payload[body_at + 4 :])
-        if zlib.crc32(body) != crc:
-            raise ProtocolError(
-                BAD_REQUEST, f"delta checksum mismatch for key {key!r}"
-            )
-        self._baselines[key] = body
-        return self._json(body)
-
-    @staticmethod
-    def _json(body: bytes) -> Dict:
-        try:
-            env = json.loads(body.decode("utf-8", errors="replace"))
+            env = json.loads(body)
         except ValueError as exc:
             raise ProtocolError(BAD_REQUEST, f"bad JSON in frame: {exc}")
         if not isinstance(env, dict):
@@ -840,6 +538,54 @@ class FrameDecoder:
                 BAD_REQUEST, "frame body must be a JSON object"
             )
         return env
+
+    def _fill(self, n: int) -> bool:
+        """Make ``n`` bytes available in ``_buf``; False while short.
+
+        Compressed input inflates at most until ``_buf`` holds one
+        maximal frame, so nothing inflates past the size cap.
+        """
+
+        buf = self._buf
+        room = self.max_frame_bytes + 5
+        while len(buf) < n and self._in == COMPRESS:
+            chunk = self._inflate(room - len(buf))
+            if not chunk:
+                break
+            buf += chunk
+        return len(buf) >= n
+
+    def _inflate(self, limit: int) -> bytes:
+        try:
+            out = self._inflater.decompress(self._ztail, limit)
+        except zlib.error as exc:
+            raise self._fatal(f"corrupt deflate stream: {exc}")
+        self._ztail = self._inflater.unconsumed_tail
+        if self._inflater.eof:
+            raise self._fatal("deflate stream ended")
+        return out
+
+    def _fatal(self, message: str) -> ProtocolError:
+        self._broken = True
+        self._buf.clear()
+        self._ztail = b""
+        err = ProtocolError(BAD_REQUEST, message)
+        err.fatal = True
+        return err
+
+    def _drop(self) -> bool:
+        """Discard the rest of an oversized frame; True once it is gone."""
+
+        buf = self._buf
+        n = min(self._skip, len(buf))
+        del buf[:n]
+        self._skip -= n
+        while self._skip and self._in == COMPRESS:
+            n = len(self._inflate(min(self._skip, self.max_frame_bytes)))
+            if not n:
+                break
+            self._skip -= n
+        return not self._skip
 
 
 # ----------------------------------------------------------------------

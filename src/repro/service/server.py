@@ -29,17 +29,13 @@ envelope as handler errors (``bad-request`` / ``payload-too-large``),
 never by dropping the line or the connection.
 
 Connections start on JSON lines; a client on a byte-capable transport
-(TCP, real stdio) may negotiate the v5 binary frame format with an
-inline ``frames`` request, and on top of that the v6 ``compress`` rung
-— adaptive zlib frames plus flush-timer coalescing of progress-event
-bursts into multi-record frames — see the
-:mod:`repro.service.protocol` docstring for the wire layout.  Each
-switch is atomic under the write lock, and the frame read loop
-continues on the same buffered stream.  Wire traffic lands in the
-host's stats as ``net.bytes_in`` / ``net.bytes_out`` (plus
-``net.bytes_out_raw``, ``net.frames_compressed``,
-``net.coalesced_events`` and ``net.flushes``) for every connection,
-compressed or not.
+(TCP, real stdio) may climb to plain frames and then to one deflate
+stream per direction with inline ``frames`` / ``compress`` requests —
+see the :mod:`repro.service.protocol` docstring.  A
+:class:`~repro.service.protocol.WireCodec` holds each connection's rung,
+``seq`` stamps and ``net.*`` accounting; this module only moves its
+bytes: one write per envelope, so one ``Z_SYNC_FLUSH`` per envelope on
+a compressed connection.
 
 For back compatibility this module re-exports the host's public names
 (``PedServer``, ``PROTOCOL_VERSION``), so pre-split imports keep
@@ -48,6 +44,7 @@ working.
 
 from __future__ import annotations
 
+import io
 import logging
 import socketserver
 import sys
@@ -69,148 +66,51 @@ log = logging.getLogger(__name__)
 
 
 class _Connection:
-    """One client: reads request lines, writes envelopes as they come.
+    """One client: reads requests, writes envelopes as they come.
 
     Requests are handed to the server's worker pool so one slow request
     (or one slow *session* — sessions serialize internally) never blocks
     the rest of the stream; a per-connection write lock keeps the
-    interleaved envelope lines whole and orders the ``seq`` stamps.
+    interleaved envelopes whole and orders the ``seq`` stamps.
     ``cancel`` is handled inline on the reader thread — it must work
-    precisely when the workers are busy.
+    precisely when the workers are busy.  ``rfile``/``wfile`` are byte
+    streams (``rfile`` with ``read1``); text streams work too, on JSON
+    lines only.
     """
 
     def __init__(self, server: PedServer, rfile, wfile) -> None:
         self.server = server
         self.rfile = rfile
         self.wfile = wfile
+        self._text_in = not hasattr(rfile, "read1")
+        self._text_out = isinstance(wfile, io.TextIOBase)
         self._write_lock = threading.Lock()
-        self._seq = protocol.Sequencer()
         self._listener_token = None
-        #: Binary framing state.  ``_binary`` flips inside the write
-        #: lock when the ``frames`` negotiation reply goes out, so no
-        #: envelope can straddle the JSON-lines → frames switch;
-        #: ``_compress`` flips the same way on the second rung.
-        self._binary = False
-        self._compress = False
-        self._encoder = None
-        self._reply_keys: Dict[object, str] = {}
-        #: Coalescing state (compress mode only): progress events wait
-        #: here *unstamped* — ``seq`` is assigned at flush time, under
-        #: the write lock, so stamps still equal wire order.
-        self._pending_events: list = []
-        self._flush_timer: "threading.Timer | None" = None
-        self._stats = getattr(server, "stats", None)
-        self._acct = [0, 0, 0, 0]  # wire, raw, compressed, coalesced
+        self._codec = protocol.WireCodec(
+            server.max_request_bytes,
+            stats=getattr(server, "stats", None),
+            binary=not (self._text_in or self._text_out),
+        )
 
     # -- writing -------------------------------------------------------
 
-    def _bump(self, name: str, n: int = 1) -> None:
-        if self._stats is not None and n:
-            self._stats.bump(name, n)
-
-    def _account_frames(self) -> None:
-        """Bump ``net.*`` by the encoder's movement since last write."""
-
-        enc = self._encoder
-        now = [
-            enc.bytes_wire,
-            enc.bytes_raw,
-            enc.frames_compressed,
-            enc.coalesced_events,
-        ]
-        prev, self._acct = self._acct, now
-        self._bump("net.bytes_out", now[0] - prev[0])
-        self._bump("net.bytes_out_raw", now[1] - prev[1])
-        self._bump("net.frames_compressed", now[2] - prev[2])
-        self._bump("net.coalesced_events", now[3] - prev[3])
-
     def _write(self, envelope: Dict) -> None:
-        """Stamp ``seq`` and write one envelope line (or frame).
+        """Stamp ``seq`` and write one envelope.
 
         The stamp happens under the write lock, so ``seq`` order and
         wire order are the same thing — the guarantee the client's
-        stream API asserts on.  On a compressed connection progress
-        events buffer briefly and flush as one multi-record frame; any
-        non-coalescible envelope flushes the buffer ahead of itself, so
-        events still precede their terminal reply on the wire.
+        stream API asserts on.
         """
 
-        batch = protocol.expand_event_batch(envelope)
         with self._write_lock:
-            if batch is not None:
-                if not batch:
-                    return
-                if self._compress:
-                    self._flush_locked()
-                    self._write_multi(batch)
-                else:
-                    for env in batch:
-                        self._write_one(env)
-                return
-            if (
-                self._compress
-                and envelope.get("event") == protocol.EV_PROGRESS
-            ):
-                self._pending_events.append(envelope)
-                if len(self._pending_events) >= protocol.COALESCE_MAX:
-                    self._flush_locked()
-                elif self._flush_timer is None:
-                    timer = threading.Timer(
-                        protocol.COALESCE_WINDOW, self._flush_timed
-                    )
-                    timer.daemon = True
-                    self._flush_timer = timer
-                    timer.start()
-                return
-            self._flush_locked()
-            self._write_one(envelope)
-
-    def _flush_timed(self) -> None:
-        with self._write_lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        """Ship buffered progress events (caller holds the lock)."""
-
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
-        pending, self._pending_events = self._pending_events, []
-        if pending:
-            self._write_multi(pending)
-
-    def _write_one(self, envelope: Dict) -> None:
-        envelope["seq"] = self._seq.next()
-        try:
-            if self._binary:
-                key = None
-                if protocol.is_reply(envelope):
-                    key = self._reply_keys.pop(envelope.get("id"), None)
-                self.wfile.raw.write(self._encoder.encode(envelope, key))
-                self.wfile.raw.flush()
-                self._account_frames()
-            else:
-                line = protocol.encode(envelope) + "\n"
-                self.wfile.write(line)
+            data = self._codec.encode(envelope)
+            try:
+                self.wfile.write(
+                    data.decode("utf-8") if self._text_out else data
+                )
                 self.wfile.flush()
-                self._bump("net.bytes_out", len(line))
-                self._bump("net.bytes_out_raw", len(line))
-            self._bump("net.flushes")
-        except (BrokenPipeError, ValueError, OSError):
-            pass  # client went away; nothing to tell it
-
-    def _write_multi(self, envelopes: list) -> None:
-        """One multi-record frame (compress mode; caller holds lock)."""
-
-        for env in envelopes:
-            env["seq"] = self._seq.next()
-        try:
-            self.wfile.raw.write(self._encoder.encode_multi(envelopes))
-            self.wfile.raw.flush()
-            self._account_frames()
-            self._bump("net.flushes")
-        except (BrokenPipeError, ValueError, OSError):
-            pass
+            except (BrokenPipeError, ValueError, OSError):
+                pass  # client went away; nothing to tell it
 
     def _broadcast(self, kind: str, data: Dict) -> None:
         """Host-originated event (no owning request): ``"id": null``."""
@@ -225,10 +125,6 @@ class _Connection:
 
     def _run_request(self, req: Dict) -> None:
         rid = req.get("id")
-        if self._binary:
-            key = protocol.reply_delta_key(req)
-            if key is not None:
-                self._reply_keys[rid] = key
         timed_out = threading.Event()
 
         def emit(kind: str, data: Dict) -> None:
@@ -270,112 +166,7 @@ class _Connection:
 
             threading.Thread(target=_watchdog, daemon=True).start()
 
-    # -- framing negotiation -------------------------------------------
-
-    def _negotiate_frames(self, req: Dict) -> None:
-        """Inline ``frames`` op: switch this connection to binary.
-
-        The ok reply is the last JSON line of the connection; the mode
-        flips before the write lock is released, so every subsequent
-        envelope — whichever worker thread produces it — goes out as a
-        frame.  Refused (a plain error reply, connection stays on JSON
-        lines) when the transport has no byte-level streams.
-        """
-
-        rid = req.get("id")
-        if req.get("mode") != "binary":
-            self._write(
-                protocol.reply_error(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    f"unknown framing mode {req.get('mode')!r}",
-                )
-            )
-            return
-        if self._binary:
-            self._write(protocol.reply_ok(rid, {"frames": "binary"}))
-            return
-        if (
-            getattr(self.rfile, "raw", None) is None
-            or getattr(self.wfile, "raw", None) is None
-        ):
-            self._write(
-                protocol.reply_error(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    "transport cannot carry binary frames",
-                )
-            )
-            return
-        with self._write_lock:
-            envelope = protocol.reply_ok(rid, {"frames": "binary"})
-            envelope["seq"] = self._seq.next()
-            try:
-                line = protocol.encode(envelope) + "\n"
-                self.wfile.write(line)
-                self.wfile.flush()
-                self._bump("net.bytes_out", len(line))
-                self._bump("net.bytes_out_raw", len(line))
-                self._bump("net.flushes")
-            except (BrokenPipeError, ValueError, OSError):
-                pass
-            self._encoder = protocol.FrameEncoder()
-            self._binary = True
-
-    def _negotiate_compress(self, req: Dict) -> None:
-        """Inline ``compress`` op: the second negotiation rung.
-
-        The ok reply ships as a plain (uncompressed) frame; the flag
-        flips before the write lock is released, so every subsequent
-        frame may compress and progress events start coalescing.
-        Refused while the connection still speaks JSON lines — the
-        ladder is strictly ``frames`` → ``compress``.
-        """
-
-        rid = req.get("id")
-        if req.get("mode") != "zlib":
-            self._write(
-                protocol.reply_error(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    f"unknown compression mode {req.get('mode')!r}",
-                )
-            )
-            return
-        if not self._binary:
-            self._write(
-                protocol.reply_error(
-                    rid,
-                    protocol.BAD_REQUEST,
-                    "compress requires binary frames "
-                    "(negotiate frames first)",
-                )
-            )
-            return
-        with self._write_lock:
-            self._write_one(protocol.reply_ok(rid, {"compress": "zlib"}))
-            self._encoder.compress = True
-            self._compress = True
-
     # -- the read loop -------------------------------------------------
-
-    def handle_line(self, line: str) -> bool:
-        """Process one request line; False once the stream should end."""
-
-        if not line.strip():
-            return True
-        try:
-            req = protocol.parse_request(
-                line,
-                max_bytes=self.server.max_request_bytes,
-                size=getattr(self.rfile, "last_size", None),
-            )
-        except ProtocolError as exc:
-            self._write(
-                protocol.reply_error(exc.request_id, exc.type, str(exc))
-            )
-            return True
-        return self._dispatch(req)
 
     def _dispatch(self, req: Dict) -> bool:
         """One parsed request; False once the stream should end."""
@@ -389,13 +180,13 @@ class _Connection:
                 )
             )
             return False
-        if req.get("op") == protocol.FRAMES_OP:
-            self._negotiate_frames(req)
+        op = req.get("op")
+        if op in (protocol.FRAMES_OP, protocol.COMPRESS_OP):
+            with self._write_lock:  # writers read the codec's switches
+                reply = self._codec.negotiate(req)
+            self._write(reply)
             return True
-        if req.get("op") == protocol.COMPRESS_OP:
-            self._negotiate_compress(req)
-            return True
-        if req.get("op") == "cancel":
+        if op == "cancel":
             self.server.request_cancel(req.get("target"))
             self._write(
                 protocol.reply_ok(
@@ -403,7 +194,7 @@ class _Connection:
                 )
             )
             return True
-        if req.get("op") == "shutdown":
+        if op == "shutdown":
             # Inline: the reply must reach the client before this
             # connection (and then the server) winds down.
             self._write(self.server.execute(req))
@@ -411,82 +202,68 @@ class _Connection:
         self._run_request(req)
         return True
 
+    def _chunks(self):
+        if self._text_in:
+            for line in self.rfile:
+                yield line.encode("utf-8")
+            return
+        while True:
+            data = self.rfile.read1(65536)
+            if not data:
+                return
+            yield data
+
     def run(self) -> None:
         self._listener_token = self.server.add_listener(self._broadcast)
         self.server.connections.enter()
+        codec = self._codec
         try:
-            for line in self.rfile:
-                self._bump(
-                    "net.bytes_in",
-                    getattr(self.rfile, "last_size", None) or len(line),
-                )
-                if not self.handle_line(line):
-                    break
+            for data in self._chunks():
+                codec.feed(data)
+                while True:
+                    try:
+                        req = codec.next()
+                    except ProtocolError as exc:
+                        # Answered like any bad request; the codec has
+                        # skipped the bad line or frame, unless the
+                        # stream itself is corrupt.
+                        self._write(
+                            protocol.reply_error(
+                                exc.request_id, exc.type, str(exc)
+                            )
+                        )
+                        if exc.fatal:
+                            return
+                        continue
+                    if req is None:
+                        break
+                    if not self._dispatch(req):
+                        return
                 if self.server.shutdown_event.is_set():
-                    break
-                if self._binary:
-                    # The client saw our negotiation reply before it
-                    # sends another byte, so the line iterator holds no
-                    # readahead past this point; frame reads continue
-                    # on the same buffered stream.
-                    self._run_binary()
-                    break
+                    return
+        except (ValueError, OSError):
+            pass  # stream torn down under the reader
         finally:
-            with self._write_lock:
-                self._flush_locked()
             self.server.connections.leave()
             self.server.remove_listener(self._listener_token)
-
-    def _run_binary(self) -> None:
-        """Frame-mode read loop (after ``frames`` negotiation)."""
-
-        raw = self.rfile.raw
-        read1 = getattr(raw, "read1", raw.read)
-        decoder = protocol.FrameDecoder(self.server.max_request_bytes)
-        while not self.server.shutdown_event.is_set():
-            try:
-                req = decoder.next()
-            except ProtocolError as exc:
-                # The decoder already arranged to skip the bad frame;
-                # answer and keep the connection alive, like a bad
-                # JSON line would be answered.
-                self._write(
-                    protocol.reply_error(exc.request_id, exc.type, str(exc))
-                )
-                continue
-            if req is None:
-                try:
-                    data = read1(65536)
-                except (ValueError, OSError):
-                    return
-                if not data:
-                    return
-                self._bump("net.bytes_in", len(data))
-                decoder.feed(data)
-                continue
-            if not self._dispatch(req):
-                return
 
 
 def serve_stdio(server: PedServer, rfile=None, wfile=None) -> None:
     """Serve one client over stdio (used by ``ped serve --stdio``).
 
     When the streams expose their byte-level ``buffer`` (real stdio
-    does), the connection runs on it — which makes stdio eligible for
-    binary-frame negotiation and gives the request parser exact wire
-    sizes.  Plain text streams (tests pass ``StringIO``) still work,
-    JSON-lines only.
+    does), the connection runs on it, which makes stdio eligible for the
+    frame and compression rungs.  Plain text streams (``StringIO``)
+    still work, JSON-lines only.
     """
 
     rfile = rfile or sys.stdin
     wfile = wfile or sys.stdout
-    rbuf = getattr(rfile, "buffer", None)
-    if rbuf is not None:
-        rfile = _TextReader(rbuf)
-    wbuf = getattr(wfile, "buffer", None)
-    if wbuf is not None:
-        wfile = _TextWriter(wbuf)
-    _Connection(server, rfile, wfile).run()
+    _Connection(
+        server,
+        getattr(rfile, "buffer", rfile),
+        getattr(wfile, "buffer", wfile),
+    ).run()
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
@@ -498,40 +275,9 @@ class _ThreadingTCPServer(socketserver.ThreadingTCPServer):
 class _TCPHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # one thread per client connection
         server: _ThreadingTCPServer = self.server  # type: ignore[assignment]
-        rfile = self.rfile
-        wfile = _TextWriter(self.wfile)
-        _Connection(server.ped, _TextReader(rfile), wfile).run()
+        _Connection(server.ped, self.rfile, self.wfile).run()
         if server.ped.shutdown_event.is_set():
             threading.Thread(target=server.shutdown, daemon=True).start()
-
-
-class _TextReader:
-    """Line iterator decoding a binary stream (socket rfile) as UTF-8.
-
-    Records each line's wire byte length in ``last_size`` so the
-    request parser can enforce its size cap without re-encoding the
-    decoded text (the old per-request copy).
-    """
-
-    def __init__(self, raw) -> None:
-        self.raw = raw
-        self.last_size = None
-
-    def __iter__(self):
-        for line in self.raw:
-            self.last_size = len(line)
-            yield line.decode("utf-8", errors="replace")
-
-
-class _TextWriter:
-    def __init__(self, raw) -> None:
-        self.raw = raw
-
-    def write(self, text: str) -> None:
-        self.raw.write(text.encode("utf-8"))
-
-    def flush(self) -> None:
-        self.raw.flush()
 
 
 def serve_tcp(

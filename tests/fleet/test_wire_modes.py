@@ -1,10 +1,9 @@
 """Mixed-peer wire modes across the fleet: client <-> router <-> shards.
 
-The v6 ladder is per-connection, so every hop combination must work and
-agree byte-for-byte on what the client sees: a compressed client over
-uncompressed shard hops, a raw JSON client over compressed shard hops,
-and both ends compressed (where the router relays coalesced shard
-bursts as single batch events).
+The wire ladder is per-connection, so every hop combination must work
+and agree byte-for-byte on what the client sees: a compressed client
+over uncompressed shard hops, a raw JSON client over compressed shard
+hops, and both ends compressed.
 """
 
 import threading

@@ -1,10 +1,9 @@
-"""v5 binary frames: codec round trips, abuse paths, negotiation.
+"""Plain frames: codec round trips, abuse paths, negotiation.
 
-Covers the satellite checklist end to end: length-prefixed frame
-encode/decode with delta-encoded repeats, truncated frames, oversized
-frames, mid-frame disconnects, and JSON↔binary negotiation (including
-the fallback against a server that does not speak v5) — over both the
-threaded TCP server and the asyncio fleet transport.
+Length-prefixed frame encode/decode, truncated frames, oversized
+frames, mid-frame disconnects, and JSON↔frames negotiation (including
+the fallback against servers that do not speak this rung) — over both
+the threaded TCP server and the asyncio fleet transport.
 """
 
 import json
@@ -17,11 +16,7 @@ import pytest
 from repro.fleet import AsyncTransport
 from repro.service import PedClient, PedRequestError, PedServer, serve_tcp
 from repro.service import protocol
-from repro.service.protocol import (
-    FrameDecoder,
-    FrameEncoder,
-    ProtocolError,
-)
+from repro.service.protocol import ProtocolError, WireCodec
 
 SIMPLE = (
     "      program p\n"
@@ -38,58 +33,45 @@ SIMPLE = (
 # ----------------------------------------------------------------------
 
 
+def framed_pair(max_frame_bytes=protocol.MAX_REQUEST_BYTES):
+    """A client codec and a server codec that negotiated frames."""
+
+    client = WireCodec(client=True)
+    server = WireCodec(max_frame_bytes)
+    server.feed(client.encode(client.ask(protocol.FRAMES_OP, 0)))
+    client.feed(server.encode(server.negotiate(server.next())))
+    assert client.next()["result"] == {"frames": "plain"}
+    assert client.mode == server.mode == protocol.FRAMES
+    return client, server
+
+
+def frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
 def test_raw_frame_round_trip():
-    enc, dec = FrameEncoder(), FrameDecoder()
-    env = {"ok": True, "result": {"x": 1}}  # no id/session → unkeyed
-    dec.feed(enc.encode(env, key=None))
-    assert dec.next() == env
-    assert dec.next() is None
-    assert dec.pending() == 0
-
-
-def test_keyed_stream_delta_encodes_repeats():
-    """Successive envelopes of one stream shrink to their edit."""
-
-    enc, dec = FrameEncoder(), FrameDecoder()
-    rows = [f"row {i}: a(i) = a(i-1)" for i in range(200)]
-    first = {"id": 1, "op": "pane", "session": "s", "rows": rows}
-    frame1 = enc.encode(first, key="pane:s")
-    rows2 = list(rows)
-    rows2[17] = "row 17: a(i) = a(i+1)"
-    second = {"id": 2, "op": "pane", "session": "s", "rows": rows2}
-    frame2 = enc.encode(second, key="pane:s")
-    # Baseline carries the whole body; the delta carries the edit.
-    assert len(frame2) < len(frame1) / 10
-    dec.feed(frame1)
-    dec.feed(frame2)
-    assert dec.next() == first
-    assert dec.next() == second
-
-
-def test_delta_falls_back_to_baseline_when_unprofitable():
-    enc, dec = FrameEncoder(), FrameDecoder()
-    a = {"id": 1, "op": "q", "session": "s", "v": "x" * 50}
-    b = {"id": 2, "op": "q", "session": "s", "v": "y" * 50}
-    dec.feed(enc.encode(a, key="k"))
-    dec.feed(enc.encode(b, key="k"))  # nothing in common → baseline
-    assert dec.next() == a
-    assert dec.next() == b
+    client, server = framed_pair()
+    env = {"ok": True, "result": {"x": 1}}
+    data = client.encode(env)
+    assert data == frame(b"\x00" + json.dumps(env, sort_keys=True).encode())
+    server.feed(data)
+    assert server.next() == env
+    assert server.next() is None
 
 
 def test_byte_split_feeding():
     """Frames reassemble regardless of how the stream fragments."""
 
-    enc = FrameEncoder()
+    client, server = framed_pair()
     envs = [
         {"id": i, "op": "loops", "session": "s", "n": i} for i in range(8)
     ]
-    blob = b"".join(enc.encode(e, key="k") for e in envs)
-    dec = FrameDecoder()
+    blob = b"".join(client.encode(e) for e in envs)
     out = []
     for i in range(0, len(blob), 7):
-        dec.feed(blob[i : i + 7])
+        server.feed(blob[i : i + 7])
         while True:
-            env = dec.next()
+            env = server.next()
             if env is None:
                 break
             out.append(env)
@@ -97,73 +79,60 @@ def test_byte_split_feeding():
 
 
 def test_truncated_frame_never_completes():
-    enc, dec = FrameEncoder(), FrameDecoder()
-    frame = enc.encode({"id": 1, "op": "ping"}, key=None)
-    dec.feed(frame[: len(frame) - 3])  # disconnect mid-frame
-    assert dec.next() is None
-    assert dec.pending() > 0  # bytes parked, no crash, no envelope
+    client, server = framed_pair()
+    data = client.encode({"id": 1, "op": "ping"})
+    server.feed(data[: len(data) - 3])  # disconnect mid-frame
+    assert server.next() is None  # bytes parked, no crash, no envelope
+    server.feed(data[len(data) - 3 :])
+    assert server.next() == {"id": 1, "op": "ping"}
 
 
 def test_oversized_frame_is_rejected_then_skipped():
-    dec = FrameDecoder(max_frame_bytes=64)
+    client, server = framed_pair(max_frame_bytes=64)
     big = b"\x00" + json.dumps({"id": 9, "op": "x", "pad": "z" * 200}).encode()
-    frame = struct.pack(">I", len(big)) + big
-    ok = FrameEncoder().encode({"id": 10, "op": "ping"}, key=None)
-    dec.feed(frame + ok)
+    server.feed(frame(big) + client.encode({"id": 10, "op": "ping"}))
     with pytest.raises(ProtocolError) as exc:
-        dec.next()
+        server.next()
     assert exc.value.type == protocol.PAYLOAD_TOO_LARGE
-    # The decoder skipped the oversized body; the next frame decodes.
-    assert dec.next() == {"id": 10, "op": "ping"}
+    assert not exc.value.fatal
+    # The codec skipped the oversized body; the next frame decodes.
+    assert server.next() == {"id": 10, "op": "ping"}
 
 
 def test_oversized_frame_skip_spans_feeds():
     """The skip survives the oversized body arriving in later chunks."""
 
-    dec = FrameDecoder(max_frame_bytes=64)
-    body = b"\x00" + b"z" * 1000
-    frame = struct.pack(">I", len(body)) + body
-    dec.feed(frame[:100])
+    client, server = framed_pair(max_frame_bytes=64)
+    data = frame(b"\x00" + b"z" * 1000)
+    server.feed(data[:100])
     with pytest.raises(ProtocolError):
-        dec.next()
-    dec.feed(frame[100:])  # rest of the bad body: swallowed
-    assert dec.next() is None
-    dec.feed(FrameEncoder().encode({"id": 1, "op": "ping"}, key=None))
-    assert dec.next() == {"id": 1, "op": "ping"}
+        server.next()
+    server.feed(data[100:])  # rest of the bad body: swallowed
+    assert server.next() is None
+    server.feed(client.encode({"id": 1, "op": "ping"}))
+    assert server.next() == {"id": 1, "op": "ping"}
 
 
 def test_bad_frames_raise_structured_errors():
-    dec = FrameDecoder()
+    """A bad frame is answered and skipped; the next one decodes.  Any
+    kind but 0 is bad, the retired v5/v6 kinds 1-4 among them."""
 
-    def frame(payload: bytes) -> bytes:
-        return struct.pack(">I", len(payload)) + payload
-
-    dec.feed(frame(b"\x07junk"))
-    with pytest.raises(ProtocolError):  # unknown kind
-        dec.next()
-    dec.feed(frame(b"\x00not json"))
-    with pytest.raises(ProtocolError):  # bad JSON
-        dec.next()
-    dec.feed(frame(b"\x02" + struct.pack(">H", 1) + b"k" + b"\x00" * 8))
-    with pytest.raises(ProtocolError):  # delta against unknown key
-        dec.next()
-
-
-def test_delta_checksum_mismatch_detected():
-    enc = FrameEncoder()
-    first = {"id": 1, "op": "q", "session": "s", "rows": ["a"] * 40}
-    second = {"id": 2, "op": "q", "session": "s", "rows": ["a"] * 39 + ["b"]}
-    f1 = enc.encode(first, key="k")
-    f2 = bytearray(enc.encode(second, key="k"))
-    assert f2[4] == protocol.FRAME_DELTA
-    f2[8] ^= 0xFF  # corrupt the crc32
-    dec = FrameDecoder()
-    dec.feed(f1)
-    dec.next()
-    dec.feed(bytes(f2))
-    with pytest.raises(ProtocolError) as exc:
-        dec.next()
-    assert "checksum" in str(exc.value)
+    _, server = framed_pair()
+    for payload in (
+        b"\x07junk",
+        b"\x00not json",
+        b"\x00[1, 2]",
+        b"\x02" + struct.pack(">H", 1) + b"k" + b"\x00" * 8,
+        b"\x04",
+        b"",
+    ):
+        server.feed(frame(payload))
+        with pytest.raises(ProtocolError) as exc:
+            server.next()
+        assert exc.value.type == protocol.BAD_REQUEST
+        assert not exc.value.fatal
+    server.feed(frame(b'\x00{"id": 3}'))
+    assert server.next() == {"id": 3}
 
 
 # ----------------------------------------------------------------------
@@ -223,15 +192,17 @@ def test_binary_streaming_events(server):
 
 
 def test_binary_saves_bytes_on_streamed_edit_session(server):
-    """Acceptance criterion: a streamed edit session transfers fewer
-    reply/event bytes over binary frames than over JSON lines."""
+    """A streamed edit session transfers fewer reply/event bytes off
+    JSON lines than on them.  Plain frames cost four bytes more per
+    envelope than a JSON line, so the saving comes from the compress
+    rung on top of them."""
 
     _, port = server
 
     def run_session(binary: bool) -> int:
         with PedClient.connect(port=port) as c:
             if binary:
-                assert c.negotiate_frames() is True
+                assert c.negotiate_compression() is True
             sid = f"bin{binary}"
             c.request("open", session=sid, source=SIMPLE)
             for i in range(6):
@@ -267,12 +238,16 @@ def test_json_and_binary_clients_coexist(server):
 
 
 def test_bad_negotiation_mode_keeps_json(server):
+    """Unknown modes, the v7 ``binary`` among them, are refused."""
+
     _, port = server
     with PedClient.connect(port=port) as c:
-        with pytest.raises(PedRequestError):
-            c.request("frames", mode="gzip")
-        # The connection stays on JSON lines and keeps working.
-        assert c.request("ping")["pong"] is True
+        for mode in ("gzip", "binary"):
+            with pytest.raises(PedRequestError) as exc:
+                c.request("frames", mode=mode)
+            assert exc.value.type == protocol.BAD_REQUEST
+            # The connection stays on JSON lines and keeps working.
+            assert c.request("ping")["pong"] is True
 
 
 def test_mid_frame_disconnect_leaves_server_healthy(server):
@@ -282,21 +257,21 @@ def test_mid_frame_disconnect_leaves_server_healthy(server):
     _, port = server
     sock = socket.create_connection(("127.0.0.1", port), timeout=30)
     fh = sock.makefile("rb")
-    sock.sendall(b'{"id": 1, "op": "frames", "mode": "binary"}\n')
+    sock.sendall(b'{"id": 1, "op": "frames", "mode": "plain"}\n')
     reply = json.loads(fh.readline())
-    assert reply["ok"] is True and reply["result"]["frames"] == "binary"
-    frame = FrameEncoder().encode({"id": 2, "op": "ping"}, key=None)
-    sock.sendall(frame[: len(frame) // 2])
+    assert reply["ok"] is True and reply["result"]["frames"] == "plain"
+    data = frame(b'\x00{"id": 2, "op": "ping"}')
+    sock.sendall(data[: len(data) // 2])
     sock.close()
     with PedClient.connect(port=port) as c:
         assert c.request("ping")["pong"] is True
 
 
-def test_negotiation_falls_back_against_pre_v5_server():
-    """An older server routes ``frames`` to its handler table and says
-    ``unknown-op``; the client stays on JSON lines, connected."""
+def _legacy_server(etype: str) -> int:
+    """A one-connection JSON-lines server that answers ``ping`` and
+    refuses every other op with ``etype``; returns its port."""
 
-    def legacy(sock_server):
+    def serve(sock_server):
         conn, _ = sock_server.accept()
         rf = conn.makefile("rb")
         wf = conn.makefile("wb")
@@ -310,36 +285,32 @@ def test_negotiation_falls_back_against_pre_v5_server():
                     "id": req["id"],
                     "ok": False,
                     "error": {
-                        "type": "unknown-op",
-                        "message": f"unknown op {req.get('op')!r}",
+                        "type": etype,
+                        "message": f"refused {req.get('op')!r}",
                     },
                 }
             wf.write((json.dumps(reply) + "\n").encode())
             wf.flush()
+        sock_server.close()
 
     lsock = socket.create_server(("127.0.0.1", 0))
-    port = lsock.getsockname()[1]
-    threading.Thread(target=legacy, args=(lsock,), daemon=True).start()
-    with PedClient.connect(port=port) as c:
+    threading.Thread(target=serve, args=(lsock,), daemon=True).start()
+    return lsock.getsockname()[1]
+
+
+def test_negotiation_falls_back_against_pre_v5_server():
+    """An older server routes ``frames`` to its handler table and says
+    ``unknown-op``; the client stays on JSON lines, connected."""
+
+    with PedClient.connect(port=_legacy_server("unknown-op")) as c:
         assert c.negotiate_frames() is False
         assert c.request("ping")["pong"] is True  # still JSON lines
-    lsock.close()
 
 
-def test_reply_keys_delta_pane_refreshes():
-    """Replies of one (op, session) delta against each other — the
-    server-side reply_delta_key path, asserted at the codec level."""
+def test_negotiation_falls_back_against_v7_server():
+    """A v7 server knows ``frames`` but not the ``plain`` mode and says
+    ``bad-request``; the client stays on JSON lines, connected."""
 
-    enc, dec = FrameEncoder(), FrameDecoder()
-    req = {"id": 1, "op": "loops", "session": "s"}
-    key = protocol.reply_delta_key(req)
-    assert key is not None
-    body = {"id": 1, "ok": True, "result": {"loops": ["x"] * 60}}
-    f1 = enc.encode(body, key=key)
-    body2 = {"id": 2, "ok": True,
-             "result": {"loops": ["x"] * 59 + ["y"]}}
-    f2 = enc.encode(body2, key=key)
-    assert len(f2) < len(f1) / 4
-    dec.feed(f1 + f2)
-    assert dec.next() == body
-    assert dec.next() == body2
+    with PedClient.connect(port=_legacy_server("bad-request")) as c:
+        assert c.negotiate_compression() is False
+        assert c.request("ping")["pong"] is True  # still JSON lines

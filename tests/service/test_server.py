@@ -48,7 +48,7 @@ def client(server):
 def test_ping(client):
     reply = client.request("ping")
     assert reply["pong"] is True
-    assert reply["protocol"] == 7
+    assert reply["protocol"] == 8
 
 
 def test_open_query_edit_lifecycle(client):
